@@ -22,7 +22,7 @@ from .model import (
     StudyRecord,
 )
 from .parallel import pmap
-from .posterior import credible_bounds, sample_posterior
+from .posterior import credible_bounds_sorted, sample_posterior
 from .rng import child_seed
 from .stats import candidate_suite
 from .tables import StudyTableRow, format_full, format_number
@@ -66,12 +66,12 @@ def _analyze_one(task):
         )
     suite = candidate_suite(None, record, region, draws)
     if scale is Scale.RELATIVE:
-        values = draws.rel_diff
+        values = draws.sorted_rel_diff
         delta = suite.r_delta_l
     else:
-        values = draws.diff
+        values = draws.sorted_diff
         delta = suite.delta_l
-    bounds = credible_bounds(values, record.alpha_dm, scale)
+    bounds = credible_bounds_sorted(values, record.alpha_dm, scale)
     designation = designate(delta, region)
     return AnalysisRow(
         row_id=row.row_id,
@@ -97,8 +97,9 @@ def analyze_studies(
 
     The region must match the analysis scale; by default a +-20% region
     on the relative scale. Each row gets an independent posterior
-    substream derived from the seed and its position, so adding or
-    reordering rows never changes another row's numbers.
+    substream derived from the seed and the row's position, so appending
+    rows never changes an earlier row's numbers. Reordering rows does:
+    a row that moves draws from another position's stream.
     """
     rows = list(rows)
     for row in rows:

@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -345,6 +346,19 @@ class PosteriorDraws:
                 f"rel_diff must have shape ({self.k},), got {self.rel_diff.shape}"
             )
 
+    @cached_property
+    def sorted_diff(self) -> np.ndarray:
+        """``diff`` in ascending order, sorted once on first use."""
+        return np.sort(self.diff)
+
+    @cached_property
+    def sorted_rel_diff(self) -> np.ndarray | None:
+        """``rel_diff`` in ascending order (None when withheld), sorted once
+        on first use."""
+        if self.rel_diff is None:
+            return None
+        return np.sort(self.rel_diff)
+
 
 @dataclass(frozen=True)
 class CredibleBounds:
@@ -423,27 +437,28 @@ class EffectStrengthResult:
 
 @dataclass(frozen=True)
 class CandidateStatistics:
-    """The full bundle of rival decision statistics for one dataset.
+    """A bundle of rival decision statistics for one dataset.
 
-    Relative entries (``r_*``) are None when relative draws were withheld;
-    ``bf`` and ``p_sg`` are additionally None when they were requested on a
-    relative null region without usable relative draws.
+    Statistics that were not requested are None. Relative entries
+    (``r_*``) are also None when relative draws were withheld; ``bf`` and
+    ``p_sg`` are additionally None when they were requested on a relative
+    null region without usable relative draws.
     """
 
-    xbar_dm: float
+    xbar_dm: float | None
     r_xbar_dm: float | None
-    s_dm: float
+    s_dm: float | None
     rs_dm: float | None
     bf: float | None
-    p_n: float
-    p_e: float
+    p_n: float | None
+    p_e: float | None
     p_sg: float | None
-    cohen_d: float
-    delta_m: float
+    cohen_d: float | None
+    delta_m: float | None
     r_delta_m: float | None
-    delta_l: float
+    delta_l: float | None
     r_delta_l: float | None
-    rnd: float
+    rnd: float | None
 
     def __post_init__(self) -> None:
         for name in ("p_n", "p_e", "p_sg"):
@@ -452,11 +467,11 @@ class CandidateStatistics:
                 raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
         if self.bf is not None and self.bf < 0.0:
             raise OutOfRange(f"bf must be nonnegative, got {self.bf}")
-        if self.s_dm < 0.0:
-            raise OutOfRange(f"s_dm must be nonnegative, got {self.s_dm}")
-        if self.rs_dm is not None and self.rs_dm < 0.0:
-            raise OutOfRange(f"rs_dm must be nonnegative, got {self.rs_dm}")
-        if not 0.0 <= self.rnd < 1.0:
+        for name in ("s_dm", "rs_dm"):
+            value = getattr(self, name)
+            if value is not None and value < 0.0:
+                raise OutOfRange(f"{name} must be nonnegative, got {value}")
+        if self.rnd is not None and not 0.0 <= self.rnd < 1.0:
             raise OutOfRange(f"rnd must lie in [0, 1), got {self.rnd}")
 
     def value(self, candidate: str) -> float | None:

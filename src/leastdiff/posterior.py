@@ -41,6 +41,7 @@ __all__ = [
     "require_relative",
     "ecdf",
     "credible_bounds",
+    "credible_bounds_sorted",
 ]
 
 MIN_DRAWS = 1000
@@ -176,12 +177,24 @@ def credible_bounds(
     by a couple of order statistics rather than pure extrapolation.
     """
     arr = np.asarray(draws, dtype=float)
+    _require_tail_draws(arr.size, tail_mass)
+    return _bounds_sorted(np.sort(arr), tail_mass, scale)
+
+
+def credible_bounds_sorted(
+    sorted_draws: np.ndarray, tail_mass: float, scale: Scale = Scale.RAW
+) -> CredibleBounds:
+    """``credible_bounds`` of draws already in ascending order."""
+    _require_tail_draws(sorted_draws.size, tail_mass)
+    return _bounds_sorted(sorted_draws, tail_mass, scale)
+
+
+def _require_tail_draws(size: int, tail_mass: float) -> None:
     if not 0.0 < tail_mass < 0.5:
         raise OutOfRange(f"tail_mass must lie in (0, 0.5), got {tail_mass}")
     needed = math.ceil(2.0 / tail_mass)
-    if arr.size < needed:
+    if size < needed:
         raise InsufficientDraws(
             f"need at least {needed} draws for tail mass {tail_mass}, "
-            f"got {arr.size}"
+            f"got {size}"
         )
-    return _bounds_sorted(np.sort(arr), tail_mass, scale)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
-from scipy import stats as sps
 
 from .model import (
     CANDIDATES,
@@ -64,15 +63,12 @@ from .parallel import pmap
 from .posterior import sample_posterior
 from .rng import child_seed, substream
 from .stats import (
+    RAW,
+    RELATIVE,
+    SEED,
+    candidate_needs,
     candidate_suite,
-    cohens_d,
     compare_candidate,
-    equivalence_margins,
-    mean_difference,
-    relative_mean_difference,
-    standard_error_dm,
-    tost_p,
-    welch_p,
 )
 
 __all__ = [
@@ -133,12 +129,6 @@ _MAX_BATCHES = 25
 # null region for region-dependent candidates: +-20% of control
 _REGION_FRACTION = 0.2
 
-# candidates that need posterior draws; everything else works from the
-# group summaries alone
-_POSTERIOR_SET = frozenset(
-    {"bf", "p_sg", "delta_m", "delta_l", "r_delta_m", "r_delta_l"}
-)
-
 _BOOTSTRAP_RESAMPLES = 1000
 
 
@@ -182,12 +172,37 @@ def expected_t_ratio(
     rng: np.random.Generator,
     n_probe: int = _PROBE_SAMPLES,
 ) -> float:
-    """Mean sample t-ratio over fresh probe experiments."""
+    """Mean sample t-ratio over fresh probe experiments.
+
+    The probes are drawn in one block and their ratios summed in probe
+    order, so the result equals averaging ``t_ratio`` over ``n_probe``
+    successive ``draw_sample`` calls on the same generator.
+    """
     if n_probe < 1:
         raise OutOfRange(f"n_probe must be positive, got {n_probe}")
+    m, n = config.m, config.n
+    z = rng.standard_normal((n_probe, m + n))
+    x = config.mu_x + config.sigma_x * z[:, :m]
+    y = config.mu_y + config.sigma_y * z[:, m:]
+    diff = y.mean(axis=1) - x.mean(axis=1)
+    se2 = x.var(axis=1, ddof=1) / m + y.var(axis=1, ddof=1) / n
+    t_crit = abs(float(special.stdtrit(m + n - 1, 1.0 - config.alpha_dm)))
+    degenerate = se2 == 0.0
+    if degenerate.any():
+        warnings.warn(
+            "both samples have zero variance; t-ratio set by convention",
+            ZeroVarianceWarning,
+            stacklevel=2,
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(
+            degenerate,
+            np.where(diff != 0.0, np.copysign(math.inf, diff), 0.0),
+            diff / np.sqrt(se2) / t_crit,
+        )
     total = 0.0
-    for _ in range(n_probe):
-        total += t_ratio(draw_sample(config, rng), config.alpha_dm)
+    for ratio in ratios.tolist():
+        total += ratio
     return total / n_probe
 
 
@@ -209,6 +224,8 @@ def analytic_t_ratio(config: PopulationConfig) -> float:
 
 def fairness_band(count: int, level: float = 0.99) -> tuple[float, float]:
     """Central binomial band for a fair coin, as win fractions."""
+    from scipy import stats as sps
+
     lo, hi = sps.binom.interval(level, count, 0.5)
     return lo / count, hi / count
 
@@ -350,6 +367,8 @@ def _batch_fractions(pairs, measures):
 
 
 def _gates_pass(pairs, measures, independent: Measure | None) -> bool:
+    from scipy import stats as sps
+
     n = len(pairs)
     fair_measures = [independent] if independent is not None else list(measures)
     lo, hi = sps.binom.interval(0.99, n, 0.5)
@@ -502,49 +521,33 @@ def _study_region(pair_mu_x: float, scale: Scale) -> NullRegion:
     return NullRegion(-half, half, Scale.RAW)
 
 
-def _trial_candidates(config, region, requested, k_draws, data_rng, post_seed):
-    """Candidate values for one synthetic experiment; absent stats are
-    omitted from the dict."""
-    data = draw_sample(config, data_rng)
-    control, experiment = summarize(data)
-    study = StudyRecord(
-        control=control, experiment=experiment, alpha_dm=config.alpha_dm
-    )
-    if _POSTERIOR_SET & requested:
-        draws = sample_posterior(study, k_draws, post_seed)
-        suite = candidate_suite(None, study, region, draws)
-        return {
-            name: value
-            for name in requested
-            if (value := getattr(suite, name)) is not None
-        }
-    out = {}
-    for name in requested:
-        if name == "xbar_dm":
-            out[name] = mean_difference(control, experiment)
-        elif name == "r_xbar_dm":
-            if control.mean != 0.0:
-                out[name] = relative_mean_difference(control, experiment)
-        elif name == "s_dm":
-            out[name] = standard_error_dm(control, experiment)
-        elif name == "rs_dm":
-            if control.mean != 0.0:
-                out[name] = abs(
-                    standard_error_dm(control, experiment) / control.mean
-                )
-        elif name == "p_n":
-            out[name] = welch_p(control, experiment)
-        elif name == "p_e":
-            out[name] = tost_p(
-                control, experiment, equivalence_margins(region, control)
-            )
-        elif name == "cohen_d":
-            out[name] = cohens_d(control, experiment)
-        elif name == "rnd":
-            out[name] = float(substream(post_seed, "rnd").random())
-        else:
-            raise OutOfRange(f"candidate {name!r} needs posterior draws")
-    return out
+def _trial_candidates(config, region, requested, k_draws, data_path,
+                      post_path):
+    """Values of the requested candidates for one synthetic experiment;
+    absent stats are omitted from the dict.
+
+    The sample is drawn from ``substream(*data_path)`` and the posterior
+    seeded with ``child_seed(*post_path)``, each only when a requested
+    candidate reads it.
+    """
+    needs = candidate_needs(requested, region.scale)
+    study = draws = None
+    if needs - {SEED}:
+        data = draw_sample(config, substream(*data_path))
+        control, experiment = summarize(data)
+        study = StudyRecord(
+            control=control, experiment=experiment, alpha_dm=config.alpha_dm
+        )
+    if needs & {RAW, RELATIVE}:
+        draws = sample_posterior(study, k_draws, child_seed(*post_path))
+    elif SEED in needs:
+        draws = child_seed(*post_path)
+    suite = candidate_suite(None, study, region, draws, requested)
+    return {
+        name: value
+        for name in requested
+        if (value := getattr(suite, name)) is not None
+    }
 
 
 def _pair_worker(task):
@@ -569,8 +572,8 @@ def _pair_worker(task):
                         region,
                         requested,
                         k_draws,
-                        substream(seed, "data", index, s, side),
-                        child_seed(seed, "post", index, s, side),
+                        (seed, "data", index, s, side),
+                        (seed, "post", index, s, side),
                     )
                 )
             for ci, cand in enumerate(candidates):
@@ -607,6 +610,8 @@ def run_comparison_study(
     p-value against coin-flipping, flagged significant under a Bonferroni
     correction across candidates.
     """
+    from scipy import stats as sps
+
     pair_list = list(pairs)
     if not pair_list:
         raise OutOfRange("no pairs to score")
@@ -806,8 +811,10 @@ def generate_series(
 
 
 def _config_worker(task):
+    """One ladder config: per-candidate means over its trials, and the
+    bootstrap means of ``_BOOTSTRAP_RESAMPLES`` resamples of its trials."""
     (index, config, n_samples, k_draws, seed, candidates, region) = task
-    requested = frozenset(c for c in candidates if c != ORACLE)
+    requested = frozenset(candidates)
     stats = np.full((n_samples, len(candidates)), np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonpositiveControlWarning)
@@ -818,14 +825,20 @@ def _config_worker(task):
                 region,
                 requested,
                 k_draws,
-                substream(seed, "sample", index, s),
-                child_seed(seed, "post", index, s),
+                (seed, "sample", index, s),
+                (seed, "post", index, s),
             )
             for ci, cand in enumerate(candidates):
                 value = values.get(cand)
                 if value is not None:
                     stats[s, ci] = value
-    return stats
+        warnings.simplefilter("ignore", RuntimeWarning)
+        means = np.nanmean(stats, axis=0)  # (C,)
+        idx = substream(seed, "boot", index).integers(
+            0, n_samples, size=(_BOOTSTRAP_RESAMPLES, n_samples)
+        )
+        boot_means = np.nanmean(stats[idx], axis=1)  # (B, C)
+    return means, boot_means
 
 
 def _rank_rho(x_ranks: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -834,6 +847,8 @@ def _rank_rho(x_ranks: np.ndarray, table: np.ndarray) -> np.ndarray:
     `table` has shape (..., S); ranking happens along the last axis, so
     any leading axes (bootstrap replicates, candidates) vectorise.
     """
+    from scipy import stats as sps
+
     finite = np.isfinite(table)
     safe = np.where(finite, table, np.inf)
     y_ranks = sps.rankdata(safe, axis=-1)
@@ -878,7 +893,9 @@ def spearman_study(
         (i, config, n_samples, k_draws, seed, candidates, region)
         for i, config in enumerate(configs)
     ]
-    per_config = pmap(_config_worker, tasks, workers)  # S x (n_samples, C)
+    per_config = pmap(_config_worker, tasks, workers)
+
+    from scipy import stats as sps
 
     strengths = np.array(
         [config.measure_value(series.measure) for config in configs]
@@ -887,17 +904,10 @@ def spearman_study(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        means = np.stack(
-            [np.nanmean(stats, axis=0) for stats in per_config]
-        )  # (S, C)
+        means = np.stack([means for means, _ in per_config])  # (S, C)
         point_rho = _rank_rho(x_ranks, means.T)  # (C,)
 
-        boot = np.empty((_BOOTSTRAP_RESAMPLES, len(configs), len(candidates)))
-        for i, stats in enumerate(per_config):
-            idx = substream(seed, "boot", i).integers(
-                0, n_samples, size=(_BOOTSTRAP_RESAMPLES, n_samples)
-            )
-            boot[:, i, :] = np.nanmean(stats[idx], axis=1)
+        boot = np.stack([boot for _, boot in per_config], axis=1)  # (B, S, C)
         # (B, C, S) -> rho per replicate and candidate
         boot_rho = _rank_rho(x_ranks, np.swapaxes(boot, 1, 2))
 

@@ -9,17 +9,22 @@ zero when the interval covers zero. The most difference is the smallest
 magnitude c whose symmetric interval (-c, c] holds at least 1 - alpha of
 the posterior mass.
 
-Around them, ``candidate_suite`` assembles the full bundle of rival
-statistics a decision maker might use to call one experiment "stronger"
-than another: raw and relative mean differences, their standard errors,
-a posterior odds ratio against a practical-equivalence region, Welch and
+Around them, ``candidate_suite`` computes the rival statistics a
+decision maker might use to call one experiment "stronger" than
+another: raw and relative mean differences, their standard errors, a
+posterior odds ratio against a practical-equivalence region, Welch and
 equivalence-test p-values, a second-generation p-value, a standardised
-effect size, and a uniform-noise control.
+effect size, and a uniform-noise control. A registry maps each
+candidate's name to what it reads (the group summaries, the sorted raw
+or relative draws, or only the posterior seed) and to its one function,
+so a caller asking for a few candidates computes only those and their
+inputs.
 """
 from __future__ import annotations
 
 import math
 import warnings
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -59,6 +64,7 @@ __all__ = [
     "bayes_factor",
     "cohens_d",
     "effect_strength",
+    "candidate_needs",
     "candidate_suite",
     "compare_candidate",
     "decide_stronger",
@@ -269,37 +275,45 @@ def least_difference_scan(
     return 0.0
 
 
-def _coverage_sorted(sorted_arr: np.ndarray, c: float) -> float:
-    """Fraction of draws in (-c, c]."""
-    hi = np.searchsorted(sorted_arr, c, side="right")
-    lo = np.searchsorted(sorted_arr, -c, side="right")
-    return (int(hi) - int(lo)) / sorted_arr.size
-
-
 def _most_difference_sorted(sorted_arr: np.ndarray, alpha: float) -> float:
     """Smallest magnitude c >= 0 with at least 1 - alpha of the draws in
-    (-c, c], resolved exactly on the draw magnitudes.
+    (-c, c], selected directly from the sorted draws.
 
-    The coverage function only steps upward where a draw magnitude enters
-    the interval, so the minimiser is either a magnitude present in the
-    draws or sits immediately above one (when the draw at -c is excluded
-    by the open lower edge). Binary search on the unique magnitudes finds
-    the step; a nextafter nudge settles which side of it suffices.
+    A draw x lies in (-c, c] exactly when its key is at most c: the key
+    is x for x > 0 and nextafter(-x, inf) otherwise, which encodes the
+    open lower edge. So the answer is the m-th smallest key, m being the
+    smallest count with m / K >= 1 - alpha. The keys of the nonpositive
+    draws, read backwards, and of the positive draws form two ascending
+    runs, and a binary search over how many keys come from the first run
+    selects the m-th in O(log K).
     """
+    size = sorted_arr.size
     target = 1.0 - alpha
-    magnitudes = np.unique(np.abs(sorted_arr))
-    lo_i, hi_i = 0, magnitudes.size - 1
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        just_above = np.nextafter(magnitudes[mid], np.inf)
-        if _coverage_sorted(sorted_arr, just_above) >= target:
-            hi_i = mid
+    m = max(1, math.ceil(target * size))
+    while m > 1 and (m - 1) / size >= target:
+        m -= 1
+    while m / size < target:
+        m += 1
+    n_nonpos = int(np.searchsorted(sorted_arr, 0.0, side="right"))
+
+    def nonpos_key(j):  # j-th smallest key of the nonpositive draws
+        return math.nextafter(-float(sorted_arr[n_nonpos - 1 - j]), math.inf)
+
+    # smallest i such that taking i keys from the nonpositive run and
+    # m - i from the positive run leaves no smaller key behind
+    lo, hi = max(0, m - (size - n_nonpos)), min(m, n_nonpos)
+    while lo < hi:
+        i = (lo + hi) // 2
+        if nonpos_key(i) < sorted_arr[n_nonpos + m - i - 1]:
+            lo = i + 1
         else:
-            lo_i = mid + 1
-    c = float(magnitudes[lo_i])
-    if _coverage_sorted(sorted_arr, c) >= target:
-        return c
-    return float(np.nextafter(c, np.inf))
+            hi = i
+    last = []
+    if lo > 0:
+        last.append(nonpos_key(lo - 1))
+    if m > lo:
+        last.append(float(sorted_arr[n_nonpos + m - lo - 1]))
+    return max(last)
 
 
 def most_difference(draws, alpha_dm: float, sign_ref: float) -> float:
@@ -363,17 +377,15 @@ def effect_strength(
         raise OutOfRange(f"tail_mass must lie in (0, 0.5), got {tail_mass}")
 
     sign_raw = mean_difference(control, experiment)
-    sorted_diff = np.sort(draws.diff)
     bounds_raw, delta_l, delta_m = _scale_block(
-        sorted_diff, tail_mass, Scale.RAW, sign_raw
+        draws.sorted_diff, tail_mass, Scale.RAW, sign_raw
     )
 
     r_delta_l = r_delta_m = bounds_rel = sign_rel = None
     if draws.rel_diff is not None and control.mean != 0.0:
         sign_rel = sign_raw / control.mean
-        sorted_rel = np.sort(draws.rel_diff)
         bounds_rel, r_delta_l, r_delta_m = _scale_block(
-            sorted_rel, tail_mass, Scale.RELATIVE, sign_rel
+            draws.sorted_rel_diff, tail_mass, Scale.RELATIVE, sign_rel
         )
 
     return EffectStrengthResult(
@@ -395,13 +407,193 @@ def _study_groups(study) -> tuple[GroupSummary, GroupSummary]:
     return control, experiment
 
 
+# what a candidate reads besides the null region
+SUMMARY = "summary"      # the two group summaries
+RAW = "raw"              # the sorted raw-difference draws
+RELATIVE = "relative"    # the sorted relative-difference draws
+SEED = "seed"            # only the posterior's seed
+_REGION = "region"       # the sorted draws on the null region's scale
+
+
+class _SuiteInputs:
+    """Everything a candidate statistic reads, each computed on first use."""
+
+    def __init__(self, study, region, draws):
+        self.study = study
+        self.region = region
+        self.draws = draws
+        self.seed = draws.seed if isinstance(draws, PosteriorDraws) else draws
+
+    @property
+    def control(self) -> GroupSummary:
+        return self.study.control
+
+    @property
+    def experiment(self) -> GroupSummary:
+        return self.study.experiment
+
+    @cached_property
+    def xbar_dm(self) -> float:
+        return mean_difference(self.control, self.experiment)
+
+    @cached_property
+    def s_dm(self) -> float:
+        return standard_error_dm(self.control, self.experiment)
+
+    @cached_property
+    def r_xbar_dm(self) -> float | None:
+        if self.control.mean == 0.0:
+            return None
+        return self.xbar_dm / self.control.mean
+
+    @cached_property
+    def sorted_rel(self) -> np.ndarray | None:
+        if self.control.mean == 0.0:
+            return None
+        return self.draws.sorted_rel_diff
+
+    @cached_property
+    def bounds_raw(self) -> CredibleBounds:
+        return _bounds_sorted(
+            self.draws.sorted_diff, self.study.alpha_dm, Scale.RAW
+        )
+
+    @cached_property
+    def bounds_rel(self) -> CredibleBounds | None:
+        if self.sorted_rel is None:
+            return None
+        return _bounds_sorted(
+            self.sorted_rel, self.study.alpha_dm, Scale.RELATIVE
+        )
+
+    @cached_property
+    def region_sorted(self) -> np.ndarray | None:
+        if self.region.scale is Scale.RAW:
+            return self.draws.sorted_diff
+        return self.sorted_rel
+
+    @cached_property
+    def region_bounds(self) -> CredibleBounds | None:
+        if self.region.scale is Scale.RAW:
+            return self.bounds_raw
+        return self.bounds_rel
+
+
+def _rs_dm(inp: _SuiteInputs) -> float | None:
+    if inp.control.mean == 0.0:
+        return None
+    return abs(inp.s_dm / inp.control.mean)
+
+
+def _bf(inp: _SuiteInputs) -> float | None:
+    values = inp.region_sorted
+    if values is None:
+        return None
+    lo_i = np.searchsorted(values, inp.region.neg_threshold, "left")
+    hi_i = np.searchsorted(values, inp.region.pos_threshold, "right")
+    inside = int(hi_i) - int(lo_i)
+    return (values.size - inside + 1) / (inside + 1)
+
+
+def _p_sg(inp: _SuiteInputs) -> float | None:
+    if inp.region_bounds is None:
+        return None
+    return sgpv(inp.region_bounds, inp.region)
+
+
+def _delta_m(inp: _SuiteInputs) -> float:
+    magnitude = _most_difference_sorted(
+        inp.draws.sorted_diff, inp.study.alpha_dm
+    )
+    return _signed(magnitude, inp.xbar_dm)
+
+
+def _r_delta_m(inp: _SuiteInputs) -> float | None:
+    if inp.sorted_rel is None:
+        return None
+    magnitude = _most_difference_sorted(inp.sorted_rel, inp.study.alpha_dm)
+    return _signed(magnitude, inp.r_xbar_dm)
+
+
+def _r_delta_l(inp: _SuiteInputs) -> float | None:
+    if inp.bounds_rel is None:
+        return None
+    return least_difference(inp.bounds_rel, inp.r_xbar_dm)
+
+
+# The candidate registry: name -> (what it reads, its one function). The
+# region-dependent candidates read the draws on the null region's scale.
+_REGISTRY = {
+    "xbar_dm": (SUMMARY, lambda inp: inp.xbar_dm),
+    "r_xbar_dm": (SUMMARY, lambda inp: inp.r_xbar_dm),
+    "s_dm": (SUMMARY, lambda inp: inp.s_dm),
+    "rs_dm": (SUMMARY, _rs_dm),
+    "bf": (_REGION, _bf),
+    "p_n": (SUMMARY, lambda inp: welch_p(inp.control, inp.experiment)),
+    "p_e": (SUMMARY, lambda inp: tost_p(
+        inp.control, inp.experiment,
+        equivalence_margins(inp.region, inp.control),
+    )),
+    "p_sg": (_REGION, _p_sg),
+    "cohen_d": (SUMMARY, lambda inp: cohens_d(inp.control, inp.experiment)),
+    "delta_m": (RAW, _delta_m),
+    "r_delta_m": (RELATIVE, _r_delta_m),
+    "delta_l": (RAW, lambda inp: least_difference(
+        inp.bounds_raw, inp.xbar_dm
+    )),
+    "r_delta_l": (RELATIVE, _r_delta_l),
+    "rnd": (SEED, lambda inp: float(substream(inp.seed, "rnd").random())),
+}
+
+
+def candidate_needs(names, region_scale: Scale) -> frozenset:
+    """What computing the named candidates reads: a subset of SUMMARY, RAW,
+    RELATIVE and SEED. Reading draws implies reading the summaries."""
+    needs = set()
+    for name in names:
+        if name not in _REGISTRY:
+            raise OutOfRange(f"unknown candidate statistic {name!r}")
+        need = _REGISTRY[name][0]
+        if need == _REGION:
+            need = RAW if Scale(region_scale) is Scale.RAW else RELATIVE
+        needs.add(need)
+    if needs & {RAW, RELATIVE}:
+        needs.add(SUMMARY)
+    return frozenset(needs)
+
+
+def _check_samples(samples: RawSamples, study: StudyRecord) -> None:
+    sum_x, sum_y = summarize(samples)
+    for got, want, label in (
+        (sum_x, study.control, "control"),
+        (sum_y, study.experiment, "experiment"),
+    ):
+        if (
+            got.size != want.size
+            or abs(got.mean - want.mean) > 1e-8 * max(1.0, abs(want.mean))
+            or abs(got.sd - want.sd) > 1e-8 * max(1.0, want.sd)
+        ):
+            raise OutOfRange(
+                f"{label} samples disagree with the study summaries"
+            )
+
+
 def candidate_suite(
     samples: RawSamples | None,
-    study: StudyRecord,
+    study: StudyRecord | None,
     null_region: NullRegion,
-    draws: PosteriorDraws,
+    draws: PosteriorDraws | int | None,
+    names=CANDIDATES,
 ) -> CandidateStatistics:
-    """Compute every rival decision statistic for one dataset.
+    """Compute the named rival decision statistics for one dataset.
+
+    Only the requested statistics, and only the inputs they read, are
+    computed; every other field of the result is None. By default all of
+    them are. ``draws`` is the study's posterior; when no requested
+    statistic reads draws it may instead be the posterior's seed (all
+    the uniform-noise candidate ``rnd`` reads), or None when none reads
+    the seed either. Likewise ``study`` may be None when only ``rnd`` is
+    requested.
 
     When raw ``samples`` are given, their summaries must match the study's
     summaries (they are the same data in two forms); passing None skips
@@ -413,78 +605,23 @@ def candidate_suite(
     posterior's seed, so the whole suite is a pure function of
     (study, null_region, draws).
     """
-    control, experiment = study.control, study.experiment
+    needs = candidate_needs(names, null_region.scale)
+    if study is None and (SUMMARY in needs or samples is not None):
+        raise OutOfRange("the requested candidates need the study summaries")
+    if needs & {RAW, RELATIVE} and not isinstance(draws, PosteriorDraws):
+        raise OutOfRange("the requested candidates need posterior draws")
+    if SEED in needs and draws is None:
+        raise OutOfRange("the requested candidates need the posterior seed")
     if samples is not None:
-        sum_x, sum_y = summarize(samples)
-        for got, want, label in (
-            (sum_x, control, "control"),
-            (sum_y, experiment, "experiment"),
-        ):
-            if (
-                got.size != want.size
-                or abs(got.mean - want.mean) > 1e-8 * max(1.0, abs(want.mean))
-                or abs(got.sd - want.sd) > 1e-8 * max(1.0, want.sd)
-            ):
-                raise OutOfRange(
-                    f"{label} samples disagree with the study summaries"
-                )
-
-    tail = study.alpha_dm
-    xbar_dm = mean_difference(control, experiment)
-    s_dm = standard_error_dm(control, experiment)
-    margins = equivalence_margins(null_region, control)
-
-    sorted_diff = np.sort(draws.diff)
-    bounds_raw, delta_l, delta_m = _scale_block(
-        sorted_diff, tail, Scale.RAW, xbar_dm
-    )
-
-    r_xbar_dm = rs_dm = r_delta_l = r_delta_m = None
-    sorted_rel = bounds_rel = None
-    if control.mean != 0.0:
-        r_xbar_dm = xbar_dm / control.mean
-        rs_dm = abs(s_dm / control.mean)
-        if draws.rel_diff is not None:
-            sorted_rel = np.sort(draws.rel_diff)
-            bounds_rel, r_delta_l, r_delta_m = _scale_block(
-                sorted_rel, tail, Scale.RELATIVE, r_xbar_dm
-            )
-
-    # region-dependent statistics evaluated on the region's scale
-    if null_region.scale is Scale.RAW:
-        region_sorted = sorted_diff
-        region_bounds = bounds_raw
-    else:
-        region_sorted = sorted_rel
-        region_bounds = bounds_rel
-
-    p_n = welch_p(control, experiment)
-    p_e = tost_p(control, experiment, margins)
-
-    bf = p_sg = None
-    if region_sorted is not None:
-        lo_i = np.searchsorted(region_sorted, null_region.neg_threshold, "left")
-        hi_i = np.searchsorted(region_sorted, null_region.pos_threshold, "right")
-        inside = int(hi_i) - int(lo_i)
-        bf = (region_sorted.size - inside + 1) / (inside + 1)
-        p_sg = sgpv(region_bounds, null_region)
-
-    return CandidateStatistics(
-        xbar_dm=xbar_dm,
-        r_xbar_dm=r_xbar_dm,
-        s_dm=s_dm,
-        rs_dm=rs_dm,
-        bf=bf,
-        p_n=p_n,
-        p_e=p_e,
-        p_sg=p_sg,
-        cohen_d=cohens_d(control, experiment),
-        delta_m=delta_m,
-        r_delta_m=r_delta_m,
-        delta_l=delta_l,
-        r_delta_l=r_delta_l,
-        rnd=float(substream(draws.seed, "rnd").random()),
-    )
+        _check_samples(samples, study)
+    inputs = _SuiteInputs(study, null_region, draws)
+    wanted = frozenset(names)
+    # computed in CANDIDATES order, so which error a bad input raises
+    # does not depend on the order of ``names``
+    return CandidateStatistics(**{
+        name: _REGISTRY[name][1](inputs) if name in wanted else None
+        for name in CANDIDATES
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +676,11 @@ def decide_stronger(
     """
     if candidate not in CANDIDATES:
         raise OutOfRange(f"unknown candidate statistic {candidate!r}")
+    if strict and (stats1.xbar_dm is None or stats2.xbar_dm is None):
+        raise OutOfRange(
+            "a strict comparison reads xbar_dm; compute it or pass "
+            "strict=False"
+        )
     if strict and stats1.xbar_dm * stats2.xbar_dm < 0.0:
         raise MixedSignRegime(
             "experiments disagree on the sign of the mean difference"

@@ -145,6 +145,39 @@ def most_difference_scan(draws, alpha: float) -> float:
     return float(np.max(np.abs(arr)))
 
 
+def _coverage_fraction(sorted_arr, c: float) -> float:
+    """Fraction of the sorted draws in (-c, c]."""
+    hi = np.searchsorted(sorted_arr, c, side="right")
+    lo = np.searchsorted(sorted_arr, -c, side="right")
+    return (int(hi) - int(lo)) / sorted_arr.size
+
+
+def most_difference_bisect(sorted_draws, alpha: float) -> float:
+    """Smallest c >= 0 with at least 1 - alpha of the sorted draws in
+    (-c, c], by binary search on the unique draw magnitudes.
+
+    Coverage only steps up where a magnitude enters the interval, so the
+    minimiser is a magnitude or the float just above one (when the draw
+    at -c is cut by the open lower edge). Coverage is compared as a
+    fraction, count / K >= 1 - alpha, in the arithmetic the package uses.
+    """
+    sorted_arr = np.asarray(sorted_draws, dtype=float)
+    target = 1.0 - alpha
+    magnitudes = np.unique(np.abs(sorted_arr))
+    lo_i, hi_i = 0, magnitudes.size - 1
+    while lo_i < hi_i:
+        mid = (lo_i + hi_i) // 2
+        just_above = np.nextafter(magnitudes[mid], np.inf)
+        if _coverage_fraction(sorted_arr, just_above) >= target:
+            hi_i = mid
+        else:
+            lo_i = mid + 1
+    c = float(magnitudes[lo_i])
+    if _coverage_fraction(sorted_arr, c) >= target:
+        return c
+    return float(np.nextafter(c, np.inf))
+
+
 # --- exact binomial band ------------------------------------------------------
 
 

@@ -6,6 +6,8 @@ and stdout are exactly what a shell invocation would see.
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -97,6 +99,37 @@ class TestAnalyzeCommand:
         code_c, out_c = run_cli(argv + ["--workers", "2"])
         assert code_a == code_b == code_c == 0
         assert out_a == out_b == out_c
+
+    def test_appending_a_row_leaves_earlier_rows_unchanged(
+            self, studies_file, tmp_path):
+        longer = tmp_path / "longer.csv"
+        longer.write_text(
+            GOOD_TABLE + "4,control,50,4,10,treated,40,4,10,,0.05,trial-d\n",
+            encoding="utf-8")
+        code_a, out_a = run_cli(["analyze", studies_file, "--draws", "2000"])
+        code_b, out_b = run_cli(["analyze", str(longer), "--draws", "2000"])
+        assert code_a == code_b == 0
+        lines_a, lines_b = out_a.splitlines(), out_b.splitlines()
+        assert len(lines_b) == len(lines_a) + 1
+        assert lines_b[:len(lines_a)] == lines_a
+
+    def test_analyze_never_imports_scipy_stats(self):
+        # scipy.stats costs about a second to import and only the
+        # simulation benchmarks use it
+        script = (
+            "import io, sys, contextlib\n"
+            "import leastdiff.cli as cli\n"
+            "from leastdiff.datasets import cholesterol_path\n"
+            "assert 'scipy.stats' not in sys.modules, 'on import'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['analyze', cholesterol_path(),"
+            " '--draws', '1000'])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.stats' not in sys.modules, 'after analyze'\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_out_csv_file_equals_stdout(self, studies_file, tmp_path):
         argv = ["analyze", studies_file, "--draws", "2000"]

@@ -87,6 +87,40 @@ class TestTRatio:
         with pytest.warns(ZeroVarianceWarning):
             assert t_ratio(s, 0.05) == math.inf
 
+    @staticmethod
+    def _probe_loop(config, rng, n_probe):
+        # the per-probe definition: successive samples, ratios summed in order
+        total = 0.0
+        for _ in range(n_probe):
+            total += t_ratio(draw_sample(config, rng), config.alpha_dm)
+        return total / n_probe
+
+    @pytest.mark.filterwarnings("ignore::leastdiff.ZeroVarianceWarning")
+    def test_batched_probes_equal_the_probe_loop(self):
+        r = np.random.default_rng(11)
+        configs = [
+            PopulationConfig(1.0, 2.0, 0.0, 0.0, 5, 5, 0.05),
+            PopulationConfig(3.0, 3.0, 0.0, 0.0, 4, 6, 0.01),
+            PopulationConfig(0.1, 0.7, 0.0, 0.0, 3, 7, 0.05),
+            PopulationConfig(10.0, 12.0, 0.0, 4.0, 8, 8, 0.025),
+        ]
+        for _ in range(200):
+            configs.append(PopulationConfig(
+                float(r.uniform(1, 100)), float(r.uniform(1, 100)),
+                float(r.uniform(0, 30)), float(r.uniform(0, 30)),
+                int(r.integers(2, 41)), int(r.integers(2, 41)),
+                0.05 / int(r.integers(1, 11))))
+        for i, cfg in enumerate(configs):
+            for n_probe in (1, 50):
+                want = self._probe_loop(cfg, substream(i, "probe"), n_probe)
+                got = expected_t_ratio(cfg, substream(i, "probe"), n_probe)
+                assert repr(got) == repr(want), (cfg, n_probe)
+
+    def test_batched_probes_keep_the_zero_variance_warning(self):
+        cfg = PopulationConfig(1.0, 2.0, 0.0, 0.0, 5, 5, 0.05)
+        with pytest.warns(ZeroVarianceWarning):
+            assert expected_t_ratio(cfg, substream(0, "probe")) == math.inf
+
     def test_analytic_value_tracks_probe_estimate(self):
         probe = expected_t_ratio(BASE, substream(8, "probe"), n_probe=3000)
         assert analytic_t_ratio(BASE) == pytest.approx(probe, rel=0.05)
