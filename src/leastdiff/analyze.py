@@ -25,7 +25,7 @@ from .parallel import pmap
 from .posterior import credible_bounds_sorted, sample_posterior
 from .rng import child_seed
 from .stats import candidate_suite
-from .tables import StudyTableRow, format_full, format_number
+from .tables import StudyTableRow, format_full_row
 
 __all__ = [
     "AnalysisRow",
@@ -124,7 +124,8 @@ def analyze_studies(
 
 
 def analysis_csv_rows(results) -> list[dict]:
-    """Flatten AnalysisRow items for the CSV writer (6 significant digits)."""
+    """One report row of raw values per AnalysisRow, in ANALYSIS_COLUMNS
+    order; write_csv renders it at 6 significant digits."""
     out = []
     for res in results:
         row = {
@@ -132,7 +133,7 @@ def analysis_csv_rows(results) -> list[dict]:
             "label_control": res.record.label_control,
             "label_experiment": res.record.label_experiment,
             "units": res.record.units,
-            "alpha": format_number(res.record.alpha_dm),
+            "alpha": res.record.alpha_dm,
         }
         for name in CANDIDATES:
             row[name] = getattr(res.stats, name)
@@ -145,23 +146,8 @@ def analysis_csv_rows(results) -> list[dict]:
 
 
 def analysis_json_payload(results, scale, region, k_draws, seed) -> dict:
-    """Full-precision JSON rendering of an analysis run."""
-    rows = []
-    for res in results:
-        row = {
-            "id": res.row_id,
-            "label_control": res.record.label_control,
-            "label_experiment": res.record.label_experiment,
-            "units": res.record.units,
-            "alpha": format_full(res.record.alpha_dm),
-        }
-        for name in CANDIDATES:
-            row[name] = format_full(getattr(res.stats, name))
-        row["bound_lo"] = format_full(res.bounds.lo)
-        row["bound_hi"] = format_full(res.bounds.hi)
-        row["designation"] = res.designation.value
-        row["practically_significant"] = res.practically_significant
-        rows.append(row)
+    """Full-precision JSON rendering of an analysis run: the CSV rows
+    rendered with format_full_row."""
     return {
         "meta": {
             "scale": scale.value,
@@ -170,5 +156,5 @@ def analysis_json_payload(results, scale, region, k_draws, seed) -> dict:
             "draws": k_draws,
             "seed": seed,
         },
-        "rows": rows,
+        "rows": [format_full_row(row) for row in analysis_csv_rows(results)],
     }

@@ -18,6 +18,7 @@ infeasible, 4 simulation infeasible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .analyze import (
@@ -28,6 +29,7 @@ from .analyze import (
 )
 from .model import (
     CANDIDATES,
+    CorrelationRow,
     InfeasibleSeries,
     InputError,
     Measure,
@@ -38,6 +40,7 @@ from .model import (
     RAW_MEASURES,
     RELATIVE_MEASURES,
     RegimeInfeasible,
+    RiskRow,
     Scale,
     SignRegime,
 )
@@ -49,17 +52,21 @@ from .riskbench import (
     run_comparison_study,
     spearman_study,
 )
-from .tables import format_full, read_studies_csv, write_csv, write_json
+from .tables import (
+    format_full,
+    format_full_row,
+    read_studies_csv,
+    write_csv,
+    write_json,
+)
 
 __all__ = ["main", "build_parser"]
 
 DEFAULT_SEED = 20260815
 
-RISK_COLUMNS = (
-    "candidate", "measure", "mean_error", "p_value", "significant", "n_trials"
-)
-CORRELATE_COLUMNS = (
-    "candidate", "measure", "rho", "ci_lo", "ci_hi", "significant"
+RISK_COLUMNS = tuple(field.name for field in dataclasses.fields(RiskRow))
+CORRELATE_COLUMNS = tuple(
+    field.name for field in dataclasses.fields(CorrelationRow)
 )
 
 # desk-scale defaults; --full-scale restores the big campaign counts
@@ -249,16 +256,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_risk(args) -> int:
     scale = Scale(args.scale)
-    if args.independent == "simultaneous":
-        independent = None
-    else:
-        independent = Measure(args.independent)
-        allowed = RAW_MEASURES if scale is Scale.RAW else RELATIVE_MEASURES
-        if independent not in allowed:
-            raise InputError(
-                f"measure {independent.value} is not scored on the "
-                f"{scale.value} scale"
-            )
+    independent = (
+        None if args.independent == "simultaneous"
+        else Measure(args.independent)
+    )
     candidates = _parse_candidates(args.candidates, allow_oracle=True)
     if args.with_oracle and ORACLE not in candidates:
         candidates = candidates + (ORACLE,)
@@ -280,17 +281,7 @@ def cmd_risk(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    rows = [
-        {
-            "candidate": r.candidate,
-            "measure": r.measure,
-            "mean_error": r.mean_error,
-            "p_value": r.p_value,
-            "significant": r.significant,
-            "n_trials": r.n_trials,
-        }
-        for r in report.rows
-    ]
+    rows = [dataclasses.asdict(r) for r in report.rows]
     payload = {
         "meta": {
             "scale": report.scale.value,
@@ -301,25 +292,13 @@ def cmd_risk(args) -> int:
             "draws": report.k_draws,
             "seed": report.seed,
             "regenerations": report.regenerations,
-            "winner_fractions": {
-                k: format_full(v) for k, v in report.winner_fractions.items()
-            },
-            "agreement_fractions": {
-                k: format_full(v) for k, v in report.agreement_fractions.items()
-            },
+            "winner_fractions": format_full_row(report.winner_fractions),
+            "agreement_fractions": format_full_row(
+                report.agreement_fractions
+            ),
             "ks_statistic": format_full(report.ks_statistic),
         },
-        "rows": [
-            {
-                "candidate": r.candidate,
-                "measure": r.measure,
-                "mean_error": format_full(r.mean_error),
-                "p_value": format_full(r.p_value),
-                "significant": r.significant,
-                "n_trials": r.n_trials,
-            }
-            for r in report.rows
-        ],
+        "rows": [format_full_row(row) for row in rows],
     }
     _write_report(RISK_COLUMNS, rows, payload, args)
     return 0
@@ -343,7 +322,6 @@ def cmd_correlate(args) -> int:
     base = default_base_config(scale, regime)
 
     rows = []
-    json_rows = []
     series_meta = {}
     for measure in measures:
         series = generate_series(measure, args.steps, base=base, scale=scale)
@@ -356,27 +334,7 @@ def cmd_correlate(args) -> int:
             workers=args.workers,
         )
         series_meta[measure.value] = {"couplings": list(series.couplings)}
-        for r in report.rows:
-            rows.append(
-                {
-                    "candidate": r.candidate,
-                    "measure": r.measure,
-                    "rho": r.rho,
-                    "ci_lo": r.ci_lo,
-                    "ci_hi": r.ci_hi,
-                    "significant": r.significant,
-                }
-            )
-            json_rows.append(
-                {
-                    "candidate": r.candidate,
-                    "measure": r.measure,
-                    "rho": format_full(r.rho),
-                    "ci_lo": format_full(r.ci_lo),
-                    "ci_hi": format_full(r.ci_hi),
-                    "significant": r.significant,
-                }
-            )
+        rows.extend(dataclasses.asdict(r) for r in report.rows)
     payload = {
         "meta": {
             "scale": scale.value,
@@ -387,7 +345,7 @@ def cmd_correlate(args) -> int:
             "seed": args.seed,
             "series": series_meta,
         },
-        "rows": json_rows,
+        "rows": [format_full_row(row) for row in rows],
     }
     _write_report(CORRELATE_COLUMNS, rows, payload, args)
     return 0

@@ -236,6 +236,12 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_tail_mass(name: str, value: float) -> None:
+    """Raise OutOfRange unless a two-sided tail mass lies in (0, 0.5)."""
+    if not 0.0 < value < 0.5:
+        raise OutOfRange(f"{name} must lie in (0, 0.5), got {value}")
+
+
 @dataclass(frozen=True)
 class GroupSummary:
     """Sufficient statistics for one group: sample mean, sd (ddof=1), size."""
@@ -277,10 +283,7 @@ class StudyRecord:
         object.__setattr__(
             self, "alpha_dm", _require_finite("alpha_dm", self.alpha_dm)
         )
-        if not 0.0 < self.alpha_dm < 0.5:
-            raise OutOfRange(
-                f"alpha_dm must lie in (0, 0.5), got {self.alpha_dm}"
-            )
+        _require_tail_mass("alpha_dm", self.alpha_dm)
 
     @property
     def mean_difference(self) -> float:
@@ -377,10 +380,7 @@ class CredibleBounds:
         )
         if self.lo > self.hi:
             raise OutOfRange(f"lo must not exceed hi, got ({self.lo}, {self.hi})")
-        if not 0.0 < self.tail_mass < 0.5:
-            raise OutOfRange(
-                f"tail_mass must lie in (0, 0.5), got {self.tail_mass}"
-            )
+        _require_tail_mass("tail_mass", self.tail_mass)
 
     @property
     def width(self) -> float:
@@ -512,10 +512,7 @@ class PopulationConfig:
             raise OutOfRange(
                 f"group sizes must be at least 2, got m={self.m}, n={self.n}"
             )
-        if not 0.0 < self.alpha_dm < 0.5:
-            raise OutOfRange(
-                f"alpha_dm must lie in (0, 0.5), got {self.alpha_dm}"
-            )
+        _require_tail_mass("alpha_dm", self.alpha_dm)
 
     @property
     def mu_dm(self) -> float:

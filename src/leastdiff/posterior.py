@@ -31,6 +31,7 @@ from .model import (
     PosteriorDraws,
     Scale,
     StudyRecord,
+    _require_tail_mass,
 )
 from .rng import substream
 
@@ -176,25 +177,20 @@ def credible_bounds(
     Requires at least ceil(2 / tail_mass) draws so each tail is resolved
     by a couple of order statistics rather than pure extrapolation.
     """
-    arr = np.asarray(draws, dtype=float)
-    _require_tail_draws(arr.size, tail_mass)
-    return _bounds_sorted(np.sort(arr), tail_mass, scale)
+    return credible_bounds_sorted(
+        np.sort(np.asarray(draws, dtype=float)), tail_mass, scale
+    )
 
 
 def credible_bounds_sorted(
     sorted_draws: np.ndarray, tail_mass: float, scale: Scale = Scale.RAW
 ) -> CredibleBounds:
     """``credible_bounds`` of draws already in ascending order."""
-    _require_tail_draws(sorted_draws.size, tail_mass)
-    return _bounds_sorted(sorted_draws, tail_mass, scale)
-
-
-def _require_tail_draws(size: int, tail_mass: float) -> None:
-    if not 0.0 < tail_mass < 0.5:
-        raise OutOfRange(f"tail_mass must lie in (0, 0.5), got {tail_mass}")
+    _require_tail_mass("tail_mass", tail_mass)
     needed = math.ceil(2.0 / tail_mass)
-    if size < needed:
+    if sorted_draws.size < needed:
         raise InsufficientDraws(
             f"need at least {needed} draws for tail mass {tail_mass}, "
-            f"got {size}"
+            f"got {sorted_draws.size}"
         )
+    return _bounds_sorted(sorted_draws, tail_mass, scale)

@@ -25,6 +25,7 @@ gates, so no candidate can score well through generator imbalance.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import warnings
@@ -230,9 +231,6 @@ def fairness_band(count: int, level: float = 0.99) -> tuple[float, float]:
     return lo / count, hi / count
 
 
-_KNOBS = ("r_mu", "r_sd", "size", "alpha_k")
-
-
 def _knob_for(measure: Measure) -> str:
     if measure in (Measure.MU_DM, Measure.R_MU_DM):
         return "r_mu"
@@ -429,6 +427,7 @@ def generate_comparison_pairs(
             f"{the_scale.value} scale"
         )
     knob = _knob_for(independent) if independent is not None else None
+    measure_of = {_knob_for(meas): meas for meas in measures}
 
     for batch in range(_MAX_BATCHES):
         pairs = []
@@ -446,11 +445,8 @@ def generate_comparison_pairs(
                 sides = []
                 for side_winner in (Winner.EXP1, Winner.EXP2):
                     picked = {
-                        k: levels[k][
-                            0 if coins[_measure_of(k, measures)] is side_winner
-                            else 1
-                        ]
-                        for k in _KNOBS
+                        k: levels[k][0 if coins[meas] is side_winner else 1]
+                        for k, meas in measure_of.items()
                     }
                     sides.append(
                         _build_config(
@@ -503,13 +499,6 @@ def generate_comparison_pairs(
     )
 
 
-def _measure_of(knob: str, measures) -> Measure:
-    for meas in measures:
-        if _knob_for(meas) == knob:
-            return meas
-    raise OutOfRange(f"no measure for knob {knob!r}")
-
-
 # ---------------------------------------------------------------------------
 # decision-risk study
 
@@ -550,6 +539,16 @@ def _trial_candidates(config, region, requested, k_draws, data_path,
     }
 
 
+@contextlib.contextmanager
+def _trial_warnings():
+    """Silence the warnings a simulated trial raises by design: withheld
+    or heavy-tailed relative draws and point-mass posteriors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonpositiveControlWarning)
+        warnings.simplefilter("ignore", DegenerateScaleWarning)
+        yield
+
+
 def _pair_worker(task):
     (index, pair, n_samples, k_draws, seed, candidates, measures, scale) = task
     requested = frozenset(c for c in candidates if c != ORACLE)
@@ -560,9 +559,7 @@ def _pair_worker(task):
     trials = np.zeros(n_cand, dtype=np.int64)
     truth_is_exp1 = [pair.ground_truth[m] is Winner.EXP1 for m in measures]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonpositiveControlWarning)
-        warnings.simplefilter("ignore", DegenerateScaleWarning)
+    with _trial_warnings():
         for s in range(n_samples):
             values = []
             for side in (1, 2):
@@ -618,10 +615,6 @@ def run_comparison_study(
     if n_samples < 1:
         raise OutOfRange(f"n_samples must be positive, got {n_samples}")
     candidates = tuple(candidates)
-    for cand in candidates:
-        if cand != ORACLE and cand not in CANDIDATES:
-            raise OutOfRange(f"unknown candidate statistic {cand!r}")
-
     independent = pair_list[0].independent_measure
     truth_keys = set(pair_list[0].ground_truth)
     scale = (
@@ -629,6 +622,7 @@ def run_comparison_study(
         if Measure.R_MU_DM in truth_keys or Measure.R_SIGMA_D in truth_keys
         else Scale.RAW
     )
+    candidate_needs([c for c in candidates if c != ORACLE], scale)
     all_measures = RAW_MEASURES if scale is Scale.RAW else RELATIVE_MEASURES
     measures = (
         (independent,) if independent is not None
@@ -816,9 +810,7 @@ def _config_worker(task):
     (index, config, n_samples, k_draws, seed, candidates, region) = task
     requested = frozenset(candidates)
     stats = np.full((n_samples, len(candidates)), np.nan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonpositiveControlWarning)
-        warnings.simplefilter("ignore", DegenerateScaleWarning)
+    with _trial_warnings():
         for s in range(n_samples):
             values = _trial_candidates(
                 config,
@@ -884,9 +876,7 @@ def spearman_study(
     if n_samples < 2:
         raise OutOfRange(f"n_samples must be at least 2, got {n_samples}")
     candidates = tuple(candidates)
-    for cand in candidates:
-        if cand not in CANDIDATES:
-            raise OutOfRange(f"unknown candidate statistic {cand!r}")
+    candidate_needs(candidates, series.scale)
 
     region = _study_region(configs[0].mu_x, series.scale)
     tasks = [

@@ -16,13 +16,15 @@ posterior odds ratio against a practical-equivalence region, Welch and
 equivalence-test p-values, a second-generation p-value, a standardised
 effect size, and a uniform-noise control. A registry maps each
 candidate's name to what it reads (the group summaries, the sorted raw
-or relative draws, or only the posterior seed) and to its one function,
-so a caller asking for a few candidates computes only those and their
+or relative draws, or only the posterior seed), to how its values are
+read when two experiments are compared, and to its one function, so a
+caller asking for a few candidates computes only those and their
 inputs.
 """
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from functools import cached_property
 
@@ -45,9 +47,10 @@ from .model import (
     StudyRecord,
     ZeroPooledVariance,
     ZeroVarianceWarning,
+    _require_tail_mass,
     summarize,
 )
-from .posterior import _bounds_sorted, _quantile_sorted
+from .posterior import _bounds_sorted, _groups, require_relative
 from .rng import substream
 
 __all__ = [
@@ -185,20 +188,19 @@ def sgpv(interval: CredibleBounds, region: NullRegion) -> float:
 def bayes_factor(draws: PosteriorDraws, region: NullRegion) -> float:
     """Smoothed posterior odds that the effect lies outside the region.
 
-    Counts draws outside versus inside the region and returns
+    Counts draws outside versus inside the (closed) region and returns
     (outside + 1) / (inside + 1); the add-one smoothing keeps the ratio
-    finite when either count is zero.
+    finite when either count is zero. The count reads the sorted draws.
     """
-    from .posterior import require_relative
-
-    values = draws.diff if region.scale is Scale.RAW else require_relative(draws)
-    inside = int(
-        np.count_nonzero(
-            (values >= region.neg_threshold) & (values <= region.pos_threshold)
-        )
-    )
-    outside = values.size - inside
-    return (outside + 1) / (inside + 1)
+    if region.scale is Scale.RAW:
+        values = draws.sorted_diff
+    else:
+        require_relative(draws)
+        values = draws.sorted_rel_diff
+    lo_i = np.searchsorted(values, region.neg_threshold, "left")
+    hi_i = np.searchsorted(values, region.pos_threshold, "right")
+    inside = int(hi_i) - int(lo_i)
+    return (values.size - inside + 1) / (inside + 1)
 
 
 def equivalence_margins(
@@ -238,6 +240,16 @@ def cohens_d(control: GroupSummary, experiment: GroupSummary) -> float:
 # least / most plausible differences
 
 
+def _signed(magnitude: float, sign_ref: float) -> float:
+    """The magnitude carrying the sign of ``sign_ref``; zero for a zero
+    reference."""
+    if sign_ref > 0.0:
+        return magnitude
+    if sign_ref < 0.0:
+        return -magnitude
+    return 0.0
+
+
 def least_difference(bounds: CredibleBounds, sign_ref: float) -> float:
     """Least plausible difference: the credible bound nearest zero.
 
@@ -247,12 +259,7 @@ def least_difference(bounds: CredibleBounds, sign_ref: float) -> float:
     """
     if bounds.lo <= 0.0 <= bounds.hi:
         return 0.0
-    magnitude = min(abs(bounds.lo), abs(bounds.hi))
-    if sign_ref > 0.0:
-        return magnitude
-    if sign_ref < 0.0:
-        return -magnitude
-    return 0.0
+    return _signed(min(abs(bounds.lo), abs(bounds.hi)), sign_ref)
 
 
 def least_difference_scan(
@@ -267,12 +274,7 @@ def least_difference_scan(
     if grid < 1000:
         raise OutOfRange(f"grid must be at least 1000 points, got {grid}")
     zs = np.linspace(bounds.lo, bounds.hi, int(grid))
-    magnitude = float(np.min(np.abs(zs)))
-    if sign_ref > 0.0:
-        return magnitude
-    if sign_ref < 0.0:
-        return -magnitude
-    return 0.0
+    return _signed(float(np.min(np.abs(zs))), sign_ref)
 
 
 def _most_difference_sorted(sorted_arr: np.ndarray, alpha: float) -> float:
@@ -327,84 +329,8 @@ def most_difference(draws, alpha_dm: float, sign_ref: float) -> float:
     arr = np.asarray(draws, dtype=float)
     if arr.size == 0:
         raise EmptyDraws("most_difference needs at least one draw")
-    if not 0.0 < alpha_dm < 0.5:
-        raise OutOfRange(f"alpha_dm must lie in (0, 0.5), got {alpha_dm}")
-    magnitude = _most_difference_sorted(np.sort(arr), alpha_dm)
-    if sign_ref > 0.0:
-        return magnitude
-    if sign_ref < 0.0:
-        return -magnitude
-    return 0.0
-
-
-# ---------------------------------------------------------------------------
-# bundled per-study results
-
-
-def _signed(magnitude: float, sign_ref: float) -> float:
-    if sign_ref > 0.0:
-        return magnitude
-    if sign_ref < 0.0:
-        return -magnitude
-    return 0.0
-
-
-def _scale_block(sorted_values: np.ndarray, tail: float, scale: Scale,
-                 sign_ref: float):
-    """Bounds, least difference, most difference for one scale."""
-    bounds = _bounds_sorted(sorted_values, tail, scale)
-    d_least = least_difference(bounds, sign_ref)
-    d_most = _signed(_most_difference_sorted(sorted_values, tail), sign_ref)
-    return bounds, d_least, d_most
-
-
-def effect_strength(
-    study, draws: PosteriorDraws, tail_mass: float | None = None
-) -> EffectStrengthResult:
-    """Least and most plausible differences on both scales for one study.
-
-    ``tail_mass`` defaults to the study's own alpha_dm. Relative results
-    are present only when the posterior carried usable relative draws.
-    """
-    control, experiment = _study_groups(study)
-    if tail_mass is None:
-        if not isinstance(study, StudyRecord):
-            raise OutOfRange(
-                "tail_mass is required when study is not a StudyRecord"
-            )
-        tail_mass = study.alpha_dm
-    if not 0.0 < tail_mass < 0.5:
-        raise OutOfRange(f"tail_mass must lie in (0, 0.5), got {tail_mass}")
-
-    sign_raw = mean_difference(control, experiment)
-    bounds_raw, delta_l, delta_m = _scale_block(
-        draws.sorted_diff, tail_mass, Scale.RAW, sign_raw
-    )
-
-    r_delta_l = r_delta_m = bounds_rel = sign_rel = None
-    if draws.rel_diff is not None and control.mean != 0.0:
-        sign_rel = sign_raw / control.mean
-        bounds_rel, r_delta_l, r_delta_m = _scale_block(
-            draws.sorted_rel_diff, tail_mass, Scale.RELATIVE, sign_rel
-        )
-
-    return EffectStrengthResult(
-        delta_l=delta_l,
-        delta_m=delta_m,
-        bounds_raw=bounds_raw,
-        sign_ref_raw=sign_raw,
-        r_delta_l=r_delta_l,
-        r_delta_m=r_delta_m,
-        bounds_rel=bounds_rel,
-        sign_ref_rel=sign_rel,
-    )
-
-
-def _study_groups(study) -> tuple[GroupSummary, GroupSummary]:
-    if isinstance(study, StudyRecord):
-        return study.control, study.experiment
-    control, experiment = study
-    return control, experiment
+    _require_tail_mass("alpha_dm", alpha_dm)
+    return _signed(_most_difference_sorted(np.sort(arr), alpha_dm), sign_ref)
 
 
 # what a candidate reads besides the null region
@@ -486,19 +412,19 @@ def _rs_dm(inp: _SuiteInputs) -> float | None:
 
 
 def _bf(inp: _SuiteInputs) -> float | None:
-    values = inp.region_sorted
-    if values is None:
+    if inp.region_sorted is None:
         return None
-    lo_i = np.searchsorted(values, inp.region.neg_threshold, "left")
-    hi_i = np.searchsorted(values, inp.region.pos_threshold, "right")
-    inside = int(hi_i) - int(lo_i)
-    return (values.size - inside + 1) / (inside + 1)
+    return bayes_factor(inp.draws, inp.region)
 
 
 def _p_sg(inp: _SuiteInputs) -> float | None:
     if inp.region_bounds is None:
         return None
     return sgpv(inp.region_bounds, inp.region)
+
+
+def _delta_l(inp: _SuiteInputs) -> float:
+    return least_difference(inp.bounds_raw, inp.xbar_dm)
 
 
 def _delta_m(inp: _SuiteInputs) -> float:
@@ -521,28 +447,39 @@ def _r_delta_l(inp: _SuiteInputs) -> float | None:
     return least_difference(inp.bounds_rel, inp.r_xbar_dm)
 
 
-# The candidate registry: name -> (what it reads, its one function). The
-# region-dependent candidates read the draws on the null region's scale.
+# How a candidate is read: reading(value1, value2) is True when value1
+# reads as stronger evidence than value2; ties are False.
+def _larger_magnitude(value1: float, value2: float) -> bool:
+    return abs(value1) > abs(value2)
+
+
+_smaller_value = operator.lt
+_larger_value = operator.gt
+
+# The candidate registry: name -> (what it reads, how it is read, its one
+# function). The region-dependent candidates read the draws on the null
+# region's scale.
 _REGISTRY = {
-    "xbar_dm": (SUMMARY, lambda inp: inp.xbar_dm),
-    "r_xbar_dm": (SUMMARY, lambda inp: inp.r_xbar_dm),
-    "s_dm": (SUMMARY, lambda inp: inp.s_dm),
-    "rs_dm": (SUMMARY, _rs_dm),
-    "bf": (_REGION, _bf),
-    "p_n": (SUMMARY, lambda inp: welch_p(inp.control, inp.experiment)),
-    "p_e": (SUMMARY, lambda inp: tost_p(
+    "xbar_dm": (SUMMARY, _larger_magnitude, lambda inp: inp.xbar_dm),
+    "r_xbar_dm": (SUMMARY, _larger_magnitude, lambda inp: inp.r_xbar_dm),
+    "s_dm": (SUMMARY, _smaller_value, lambda inp: inp.s_dm),
+    "rs_dm": (SUMMARY, _smaller_value, _rs_dm),
+    "bf": (_REGION, _larger_value, _bf),
+    "p_n": (SUMMARY, _smaller_value,
+            lambda inp: welch_p(inp.control, inp.experiment)),
+    "p_e": (SUMMARY, _larger_value, lambda inp: tost_p(
         inp.control, inp.experiment,
         equivalence_margins(inp.region, inp.control),
     )),
-    "p_sg": (_REGION, _p_sg),
-    "cohen_d": (SUMMARY, lambda inp: cohens_d(inp.control, inp.experiment)),
-    "delta_m": (RAW, _delta_m),
-    "r_delta_m": (RELATIVE, _r_delta_m),
-    "delta_l": (RAW, lambda inp: least_difference(
-        inp.bounds_raw, inp.xbar_dm
-    )),
-    "r_delta_l": (RELATIVE, _r_delta_l),
-    "rnd": (SEED, lambda inp: float(substream(inp.seed, "rnd").random())),
+    "p_sg": (_REGION, _smaller_value, _p_sg),
+    "cohen_d": (SUMMARY, _larger_magnitude,
+                lambda inp: cohens_d(inp.control, inp.experiment)),
+    "delta_m": (RAW, _larger_magnitude, _delta_m),
+    "r_delta_m": (RELATIVE, _larger_magnitude, _r_delta_m),
+    "delta_l": (RAW, _larger_magnitude, _delta_l),
+    "r_delta_l": (RELATIVE, _larger_magnitude, _r_delta_l),
+    "rnd": (SEED, _smaller_value,
+            lambda inp: float(substream(inp.seed, "rnd").random())),
 }
 
 
@@ -619,30 +556,44 @@ def candidate_suite(
     # computed in CANDIDATES order, so which error a bad input raises
     # does not depend on the order of ``names``
     return CandidateStatistics(**{
-        name: _REGISTRY[name][1](inputs) if name in wanted else None
+        name: _REGISTRY[name][2](inputs) if name in wanted else None
         for name in CANDIDATES
     })
 
 
+def effect_strength(
+    study, draws: PosteriorDraws, tail_mass: float | None = None
+) -> EffectStrengthResult:
+    """Least and most plausible differences on both scales for one study.
+
+    ``tail_mass`` defaults to the study's own alpha_dm. Relative results
+    are present only when the posterior carried usable relative draws.
+    """
+    control, experiment = _groups(study)
+    if tail_mass is None:
+        if not isinstance(study, StudyRecord):
+            raise OutOfRange(
+                "tail_mass is required when study is not a StudyRecord"
+            )
+        tail_mass = study.alpha_dm
+    _require_tail_mass("tail_mass", tail_mass)
+    inputs = _SuiteInputs(
+        StudyRecord(control, experiment, tail_mass), None, draws
+    )
+    return EffectStrengthResult(
+        delta_l=_delta_l(inputs),
+        delta_m=_delta_m(inputs),
+        bounds_raw=inputs.bounds_raw,
+        sign_ref_raw=inputs.xbar_dm,
+        r_delta_l=_r_delta_l(inputs),
+        r_delta_m=_r_delta_m(inputs),
+        bounds_rel=inputs.bounds_rel,
+        sign_ref_rel=None if inputs.sorted_rel is None else inputs.r_xbar_dm,
+    )
+
+
 # ---------------------------------------------------------------------------
 # pairwise decisions
-
-# candidates whose magnitude is compared (same-sign regimes only)
-_MAGNITUDE = frozenset(
-    {
-        "xbar_dm",
-        "r_xbar_dm",
-        "cohen_d",
-        "delta_m",
-        "r_delta_m",
-        "delta_l",
-        "r_delta_l",
-    }
-)
-# candidates where smaller means stronger evidence
-_SMALLER = frozenset({"s_dm", "rs_dm", "p_n", "p_sg", "rnd"})
-# candidates where larger means stronger evidence
-_LARGER = frozenset({"bf", "p_e"})
 
 
 def compare_candidate(candidate: str, value1: float, value2: float) -> bool:
@@ -652,13 +603,9 @@ def compare_candidate(candidate: str, value1: float, value2: float) -> bool:
     statistics, smaller-is-stronger for noise and p-like statistics,
     larger-is-stronger for odds and equivalence tests. Ties are False.
     """
-    if candidate in _MAGNITUDE:
-        return abs(value1) > abs(value2)
-    if candidate in _SMALLER:
-        return value1 < value2
-    if candidate in _LARGER:
-        return value1 > value2
-    raise OutOfRange(f"unknown candidate statistic {candidate!r}")
+    if candidate not in _REGISTRY:
+        raise OutOfRange(f"unknown candidate statistic {candidate!r}")
+    return _REGISTRY[candidate][1](value1, value2)
 
 
 def decide_stronger(

@@ -36,6 +36,7 @@ __all__ = [
     "write_studies_csv",
     "format_number",
     "format_full",
+    "format_full_row",
     "write_csv",
     "write_json",
     "render_csv_text",
@@ -228,6 +229,15 @@ def format_full(value):
         return int(value)
     value = float(value)
     return None if math.isnan(value) else value
+
+
+def format_full_row(row) -> dict:
+    """JSON rendering of a report row: each value through format_full.
+
+    A report row is one dict of raw values; write_csv renders the same
+    dict with format_number.
+    """
+    return {key: format_full(value) for key, value in row.items()}
 
 
 def write_csv(columns, rows, target) -> None:

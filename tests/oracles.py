@@ -116,6 +116,16 @@ def sgpv_oracle(interval_lo: float, interval_hi: float,
     return min(max(overlap * factor, 0.0), 1.0)
 
 
+# --- draws inside a closed region --------------------------------------------
+
+
+def count_inside(values, lo: float, hi: float) -> int:
+    """Number of draws in the closed interval [lo, hi], by comparing every
+    draw in its given (unsorted) order."""
+    arr = np.asarray(values, dtype=float)
+    return int(np.count_nonzero((arr >= lo) & (arr <= hi)))
+
+
 # --- symmetric coverage radius by linear scan --------------------------------
 
 

@@ -28,7 +28,7 @@ import oracles
 from conftest import run_cli
 from leastdiff.cli import DEFAULT_SEED
 from leastdiff.datasets import cholesterol_path, load_cholesterol, load_plaque_size
-from leastdiff.model import Measure, Scale, SignRegime
+from leastdiff.model import Scale, SignRegime
 
 # gates on the benchmark families are corrected across the whole
 # candidate table, not just the statistics a run happened to request

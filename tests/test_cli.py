@@ -233,6 +233,13 @@ class TestRiskCommand:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_measure_must_belong_to_scale(self, capsys):
+        code, _ = run_cli(["risk", "--scale", "raw",
+                           "--independent", "r_mu_dm"])
+        assert code == 2
+        assert ("measure r_mu_dm is not scored on the raw scale"
+                in capsys.readouterr().err)
+
     def test_pair_count_floor(self, capsys):
         code, _ = run_cli(["risk", "--pairs", "49", "--samples", "2",
                            "--candidates", "rnd"])

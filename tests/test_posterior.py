@@ -1,7 +1,6 @@
 """Monte Carlo posterior draws and empirical interval machinery."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

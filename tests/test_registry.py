@@ -2,7 +2,9 @@
 
 Each candidate computed on its own must equal, bit for bit, the same
 field of the full suite, and the direct most-difference selection must
-equal the binary search it replaced (kept in oracles.py).
+equal the binary search it replaced (kept in oracles.py). The one
+sorted-draw count behind ``bayes_factor`` and the suite's ``bf`` must
+equal a direct count of the unsorted draws.
 """
 import math
 
@@ -16,12 +18,14 @@ import oracles
 from leastdiff import (
     CANDIDATES,
     GroupSummary,
+    NonpositiveControl,
     NullRegion,
     OutOfRange,
     PosteriorDraws,
     Scale,
     StudyRecord,
     ZeroPooledVariance,
+    bayes_factor,
     candidate_suite,
     sample_posterior,
 )
@@ -99,6 +103,59 @@ def test_direct_most_difference_on_posterior_draws(toy_study):
             for values in (draws.sorted_diff, draws.sorted_rel_diff):
                 assert same(_most_difference_sorted(values, alpha),
                             oracles.most_difference_bisect(values, alpha))
+
+
+# --- one bf count ------------------------------------------------------------
+
+_BF_NEG = (-1.0, -2.5, -1e-300)
+_BF_POS = (1.0, 2.5, 1e-300)
+# draws tied exactly at every threshold, just beside them, and at 0.0/-0.0
+_BF_TIED = st.sampled_from(
+    [0.0, -0.0, *_BF_NEG, *_BF_POS]
+    + [math.nextafter(t, 0.0) for t in _BF_NEG + _BF_POS]
+    + [math.nextafter(t, t * 2) for t in _BF_NEG + _BF_POS]
+)
+_BF_STUDY = StudyRecord(GroupSummary(1.0, 1.0, 5), GroupSummary(2.0, 1.0, 5),
+                        0.05)
+
+
+def _bf_reference(values, region):
+    inside = oracles.count_inside(values, region.neg_threshold,
+                                  region.pos_threshold)
+    return (len(values) - inside + 1) / (inside + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.one_of(_BF_TIED, _ANY),
+                             st.one_of(_BF_TIED, _ANY)),
+                   min_size=1, max_size=60),
+    neg=st.sampled_from(_BF_NEG),
+    pos=st.sampled_from(_BF_POS),
+    scale=st.sampled_from([Scale.RAW, Scale.RELATIVE]),
+)
+def test_bf_count_equals_direct_count(pairs, neg, pos, scale):
+    diff = np.array([p[0] for p in pairs])
+    rel_diff = np.array([p[1] for p in pairs])
+    draws = PosteriorDraws(mu_x=np.ones_like(diff), mu_y=1.0 + diff,
+                           diff=diff, rel_diff=rel_diff, k=diff.size, seed=0)
+    region = NullRegion(neg, pos, scale)
+    want = _bf_reference(diff if scale is Scale.RAW else rel_diff, region)
+    assert same(bayes_factor(draws, region), want)
+    suite = candidate_suite(None, _BF_STUDY, region, draws, ("bf",))
+    assert same(suite.bf, want)
+
+
+def test_bf_on_withheld_relative_draws():
+    diff = np.array([-1.0, 0.0, 1.0, 3.0])
+    draws = PosteriorDraws(mu_x=np.ones_like(diff), mu_y=1.0 + diff,
+                           diff=diff, rel_diff=None, k=diff.size, seed=0)
+    with pytest.raises(NonpositiveControl):
+        bayes_factor(draws, REL_REGION)
+    suite = candidate_suite(None, _BF_STUDY, REL_REGION, draws, ("bf",))
+    assert suite.bf is None
+    assert same(bayes_factor(draws, NullRegion(-1.0, 1.0, Scale.RAW)),
+                _bf_reference(diff, NullRegion(-1.0, 1.0, Scale.RAW)))
 
 
 # --- registry against the full suite -----------------------------------------

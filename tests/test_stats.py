@@ -1,7 +1,6 @@
 """Effect-strength statistics and the rival candidate suite."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +389,37 @@ class TestEffectStrength:
                                  Scale.RELATIVE)
         assert result.bounds_rel.lo == direct.lo
         assert result.r_delta_l == least_difference(direct, result.sign_ref_rel)
+
+    @pytest.mark.parametrize("tail", [0.01, 0.2])
+    def test_explicit_tail_matches_public_functions(self, toy_study, tail):
+        assert tail != toy_study.alpha_dm
+        draws = sample_posterior(toy_study, k=5000, seed=6)
+        result = effect_strength(toy_study, draws, tail_mass=tail)
+        sign = mean_difference(toy_study.control, toy_study.experiment)
+        rel_sign = sign / toy_study.control.mean
+        for values, scale, ref, got in (
+            (draws.diff, Scale.RAW, sign,
+             (result.bounds_raw, result.delta_l, result.delta_m,
+              result.sign_ref_raw)),
+            (draws.rel_diff, Scale.RELATIVE, rel_sign,
+             (result.bounds_rel, result.r_delta_l, result.r_delta_m,
+              result.sign_ref_rel)),
+        ):
+            direct = credible_bounds(values, tail, scale)
+            want = (direct, least_difference(direct, ref),
+                    most_difference(values, tail, ref), ref)
+            # repr compares floats bit for bit, 0.0 against -0.0 included
+            assert repr(got) == repr(want)
+
+    def test_explicit_tail_with_withheld_relative_draws(self):
+        study = StudyRecord(GroupSummary(0.5, 2.0, 4),
+                            GroupSummary(2.0, 1.0, 4), 0.05)
+        with pytest.warns(ld.NonpositiveControlWarning):
+            draws = sample_posterior(study, k=5000, seed=0)
+        result = effect_strength(study, draws, tail_mass=0.1)
+        assert result.bounds_raw == credible_bounds(draws.diff, 0.1)
+        assert (result.r_delta_l, result.r_delta_m, result.bounds_rel,
+                result.sign_ref_rel) == (None, None, None, None)
 
 
 class TestCandidateSuite:
