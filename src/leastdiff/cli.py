@@ -32,6 +32,7 @@ from .model import (
     CorrelationRow,
     InfeasibleSeries,
     InputError,
+    InsufficientDraws,
     Measure,
     NonpositiveControl,
     NullRegion,
@@ -69,11 +70,11 @@ CORRELATE_COLUMNS = tuple(
     field.name for field in dataclasses.fields(CorrelationRow)
 )
 
-# desk-scale defaults; --full-scale restores the big campaign counts
-DESK_PAIRS, FULL_PAIRS = 200, 1000
-DESK_PAIR_SAMPLES, FULL_PAIR_SAMPLES = 50, 100
+# desk-scale defaults
+DESK_PAIRS = 200
+DESK_PAIR_SAMPLES = 50
 DESK_LADDER_STEPS = 10
-DESK_LADDER_SAMPLES, FULL_LADDER_SAMPLES = 200, 1000
+DESK_LADDER_SAMPLES = 200
 
 
 def _add_common(parser: argparse.ArgumentParser, default_draws: int) -> None:
@@ -161,11 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--with-oracle", action="store_true",
         help="add the ground-truth oracle as a reference row",
     )
-    p_risk.add_argument(
-        "--full-scale", action="store_true",
-        help=f"use the full campaign counts ({FULL_PAIRS} pairs x "
-             f"{FULL_PAIR_SAMPLES} samples)",
-    )
     _add_common(p_risk, default_draws=2000)
     p_risk.set_defaults(func=cmd_risk)
 
@@ -197,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr.add_argument(
         "--candidates", metavar="LIST",
         help="comma-separated candidate subset (default: all)",
-    )
-    p_corr.add_argument(
-        "--full-scale", action="store_true",
-        help=f"use the full campaign count ({FULL_LADDER_SAMPLES} samples "
-             "per config)",
     )
     _add_common(p_corr, default_draws=2000)
     p_corr.set_defaults(func=cmd_correlate)
@@ -263,19 +254,17 @@ def cmd_risk(args) -> int:
     candidates = _parse_candidates(args.candidates, allow_oracle=True)
     if args.with_oracle and ORACLE not in candidates:
         candidates = candidates + (ORACLE,)
-    n_pairs = FULL_PAIRS if args.full_scale else args.pairs
-    n_samples = FULL_PAIR_SAMPLES if args.full_scale else args.samples
 
     batch = generate_comparison_pairs(
         independent,
         SignRegime(args.regime),
-        n_pairs,
+        args.pairs,
         args.seed,
         scale=scale,
     )
     report = run_comparison_study(
         batch,
-        n_samples=n_samples,
+        n_samples=args.samples,
         k_draws=args.draws,
         candidates=candidates,
         seed=args.seed,
@@ -318,7 +307,6 @@ def cmd_correlate(args) -> int:
             )
         measures = (one,)
     candidates = _parse_candidates(args.candidates)
-    n_samples = FULL_LADDER_SAMPLES if args.full_scale else args.samples
     base = default_base_config(scale, regime)
 
     rows = []
@@ -327,7 +315,7 @@ def cmd_correlate(args) -> int:
         series = generate_series(measure, args.steps, base=base, scale=scale)
         report = spearman_study(
             series,
-            n_samples=n_samples,
+            n_samples=args.samples,
             k_draws=args.draws,
             seed=args.seed,
             candidates=candidates,
@@ -340,7 +328,7 @@ def cmd_correlate(args) -> int:
             "scale": scale.value,
             "regime": regime.value,
             "steps": args.steps,
-            "n_samples": n_samples,
+            "n_samples": args.samples,
             "draws": args.draws,
             "seed": args.seed,
             "series": series_meta,
@@ -356,7 +344,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ParseError, OutOfRange) as exc:
+    except (InputError, ParseError, OutOfRange, InsufficientDraws) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonpositiveControl as exc:

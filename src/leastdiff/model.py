@@ -699,6 +699,8 @@ def parse_alpha(text: str) -> float:
         value = numerator / divisor
     else:
         value = numerator
-    if not 0.0 < value < 0.5:
-        raise OutOfRange(f"alpha must lie in (0, 0.5), got {value} from {text!r}")
+    try:
+        _require_tail_mass("alpha", value)
+    except OutOfRange as exc:
+        raise OutOfRange(f"{exc} from {text!r}") from None
     return value

@@ -158,17 +158,6 @@ def _quantile_sorted(sorted_arr: np.ndarray, q: float) -> float:
     return lo + frac * (float(sorted_arr[idx + 1]) - lo)
 
 
-def _bounds_sorted(
-    sorted_arr: np.ndarray, tail_mass: float, scale: Scale
-) -> CredibleBounds:
-    return CredibleBounds(
-        lo=_quantile_sorted(sorted_arr, tail_mass),
-        hi=_quantile_sorted(sorted_arr, 1.0 - tail_mass),
-        tail_mass=tail_mass,
-        scale=scale,
-    )
-
-
 def credible_bounds(
     draws, tail_mass: float, scale: Scale = Scale.RAW
 ) -> CredibleBounds:
@@ -193,4 +182,9 @@ def credible_bounds_sorted(
             f"need at least {needed} draws for tail mass {tail_mass}, "
             f"got {sorted_draws.size}"
         )
-    return _bounds_sorted(sorted_draws, tail_mass, scale)
+    return CredibleBounds(
+        lo=_quantile_sorted(sorted_draws, tail_mass),
+        hi=_quantile_sorted(sorted_draws, 1.0 - tail_mass),
+        tail_mass=tail_mass,
+        scale=scale,
+    )

@@ -25,7 +25,6 @@ gates, so no candidate can score well through generator imbalance.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import warnings
@@ -333,9 +332,19 @@ def _build_config(
 
 @dataclass(frozen=True)
 class PairBatch(Sequence):
-    """An accepted batch of comparison pairs plus its balance diagnostics."""
+    """An accepted batch of comparison pairs, the design it was generated
+    under, and its balance diagnostics.
+
+    ``scored`` holds the measures a study of the batch scores: the
+    independent measure, or every measure of the scale for the
+    simultaneous design (``independent`` is None).
+    """
 
     pairs: tuple[ComparisonPair, ...]
+    scale: Scale
+    regime: SignRegime
+    independent: Measure | None
+    scored: tuple[Measure, ...]
     regenerations: int
     winner_fractions: dict
     agreement_fractions: dict
@@ -347,43 +356,43 @@ class PairBatch(Sequence):
         return self.pairs[index]
 
 
-def _batch_fractions(pairs, measures):
-    n = len(pairs)
-    winner = {
-        meas.value: sum(
-            1 for p in pairs if p.ground_truth[meas] is Winner.EXP1
-        ) / n
-        for meas in measures
-    }
-    agreement = {
-        f"{a.value}&{b.value}": sum(
-            1 for p in pairs if p.ground_truth[a] is p.ground_truth[b]
-        ) / n
-        for a, b in itertools.combinations(measures, 2)
-    }
-    return winner, agreement
+def _balanced_fractions(pairs, measures, independent: Measure | None):
+    """Winner and pairwise-agreement fractions of a batch's coins, or None
+    when they fail the balance gates.
 
-
-def _gates_pass(pairs, measures, independent: Measure | None) -> bool:
+    One pass counts, per measure, the pairs whose experiment 1 is
+    stronger and, per pair of measures, the pairs whose two winners
+    agree. The fairness gate keeps each tested measure's win fraction
+    inside ``fairness_band``; the agreement gate rejects a pair of
+    measures whose agreement count an exact binomial test against a fair
+    coin finds significant at 0.05, Bonferroni-corrected.
+    """
     from scipy import stats as sps
 
     n = len(pairs)
-    fair_measures = [independent] if independent is not None else list(measures)
-    lo, hi = sps.binom.interval(0.99, n, 0.5)
-    for meas in fair_measures:
-        wins = sum(1 for p in pairs if p.ground_truth[meas] is Winner.EXP1)
-        if not lo <= wins <= hi:
-            return False
-    if independent is not None:
-        tested = [(independent, m) for m in measures if m is not independent]
-    else:
-        tested = list(itertools.combinations(measures, 2))
+    wins = dict.fromkeys(measures, 0)
+    agree = dict.fromkeys(itertools.combinations(measures, 2), 0)
+    for pair in pairs:
+        truth = pair.ground_truth
+        for meas in measures:
+            wins[meas] += truth[meas] is Winner.EXP1
+        for a, b in agree:
+            agree[a, b] += truth[a] is truth[b]
+
+    lo, hi = fairness_band(n)
+    fair = measures if independent is None else (independent,)
+    if not all(lo <= wins[meas] / n <= hi for meas in fair):
+        return None
+    tested = [key for key in agree if independent is None or independent in key]
     threshold = 0.05 / len(tested)
-    for a, b in tested:
-        agree = sum(1 for p in pairs if p.ground_truth[a] is p.ground_truth[b])
-        if sps.binomtest(agree, n, 0.5).pvalue <= threshold:
-            return False
-    return True
+    if any(sps.binomtest(agree[key], n, 0.5).pvalue <= threshold
+           for key in tested):
+        return None
+    return (
+        {meas.value: count / n for meas, count in wins.items()},
+        {f"{a.value}&{b.value}": count / n
+         for (a, b), count in agree.items()},
+    )
 
 
 def _resolve_scale(independent: Measure | None, scale: Scale | None) -> Scale:
@@ -486,13 +495,17 @@ def generate_comparison_pairs(
                     f"no admissible pair found for slot {i} after "
                     f"{_MAX_PAIR_ATTEMPTS} attempts"
                 )
-        if _gates_pass(pairs, measures, independent):
-            winner, agreement = _batch_fractions(pairs, measures)
+        fractions = _balanced_fractions(pairs, measures, independent)
+        if fractions is not None:
             return PairBatch(
                 pairs=tuple(pairs),
+                scale=the_scale,
+                regime=regime,
+                independent=independent,
+                scored=measures if independent is None else (independent,),
                 regenerations=batch,
-                winner_fractions=winner,
-                agreement_fractions=agreement,
+                winner_fractions=fractions[0],
+                agreement_fractions=fractions[1],
             )
     raise RegimeInfeasible(
         f"balance gates failed in {_MAX_BATCHES} consecutive batches"
@@ -539,58 +552,68 @@ def _trial_candidates(config, region, requested, k_draws, data_path,
     }
 
 
-@contextlib.contextmanager
-def _trial_warnings():
-    """Silence the warnings a simulated trial raises by design: withheld
-    or heavy-tailed relative draws and point-mass posteriors."""
+def _trial_table(config, region, columns, k_draws, paths):
+    """Values of the named candidates over the trials of one config.
+
+    Returns an (S, C) table: one row per trial, whose sample and
+    posterior come from the (data path, posterior path) pair at that
+    position of ``paths``, and one column per name in ``columns``, NaN
+    where a candidate has no value. The warnings a simulated trial
+    raises by design are silenced: withheld or heavy-tailed relative
+    draws and point-mass posteriors.
+    """
+    requested = frozenset(columns)
+    table = np.full((len(paths), len(columns)), np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonpositiveControlWarning)
         warnings.simplefilter("ignore", DegenerateScaleWarning)
-        yield
+        for s, (data_path, post_path) in enumerate(paths):
+            values = _trial_candidates(
+                config, region, requested, k_draws, data_path, post_path
+            )
+            for ci, name in enumerate(columns):
+                value = values.get(name)
+                if value is not None:
+                    table[s, ci] = value
+    return table
 
 
 def _pair_worker(task):
-    (index, pair, n_samples, k_draws, seed, candidates, measures, scale) = task
-    requested = frozenset(c for c in candidates if c != ORACLE)
-    region = _study_region(pair.exp1.mu_x, scale)
-    n_cand = len(candidates)
-    n_meas = len(measures)
-    errors = np.zeros((n_cand, n_meas), dtype=np.int64)
-    trials = np.zeros(n_cand, dtype=np.int64)
-    truth_is_exp1 = [pair.ground_truth[m] is Winner.EXP1 for m in measures]
+    """One pair: per candidate, its errors against each scored measure's
+    ground truth and its number of trials.
 
-    with _trial_warnings():
-        for s in range(n_samples):
-            values = []
-            for side in (1, 2):
-                values.append(
-                    _trial_candidates(
-                        pair.exp1 if side == 1 else pair.exp2,
-                        region,
-                        requested,
-                        k_draws,
-                        (seed, "data", index, s, side),
-                        (seed, "post", index, s, side),
-                    )
-                )
-            for ci, cand in enumerate(candidates):
-                if cand == ORACLE:
-                    trials[ci] += 1
-                    continue
-                v1 = values[0].get(cand)
-                v2 = values[1].get(cand)
-                if v1 is None or v2 is None:
-                    continue
-                trials[ci] += 1
-                pred_exp1 = compare_candidate(cand, v1, v2)
-                for mi in range(n_meas):
-                    if pred_exp1 != truth_is_exp1[mi]:
-                        errors[ci, mi] += 1
+    A trial counts for a candidate when the candidate has a value on
+    both sides; the oracle reads the ground truth, so it never errs and
+    counts every trial.
+    """
+    (index, pair, n_samples, k_draws, seed, candidates, measures, scale) = task
+    region = _study_region(pair.exp1.mu_x, scale)
+    scored = [ci for ci, cand in enumerate(candidates) if cand != ORACLE]
+    columns = [candidates[ci] for ci in scored]
+    side1, side2 = (
+        _trial_table(config, region, columns, k_draws, [
+            ((seed, "data", index, s, side), (seed, "post", index, s, side))
+            for s in range(n_samples)
+        ])
+        for side, config in ((1, pair.exp1), (2, pair.exp2))
+    )
+    truth_is_exp1 = np.array(
+        [pair.ground_truth[m] is Winner.EXP1 for m in measures]
+    )
+    errors = np.zeros((len(candidates), len(measures)), dtype=np.int64)
+    trials = np.full(len(candidates), n_samples, dtype=np.int64)
+    both = ~(np.isnan(side1) | np.isnan(side2))
+    trials[scored] = both.sum(axis=0)
+    for j, (ci, cand) in enumerate(zip(scored, columns)):
+        pred_exp1 = compare_candidate(
+            cand, side1[both[:, j], j], side2[both[:, j], j]
+        )
+        errors[ci] = (pred_exp1[:, None] != truth_is_exp1).sum(axis=0)
     return errors, trials
 
 
 def run_comparison_study(
-    pairs,
+    batch: PairBatch,
     n_samples: int = 50,
     k_draws: int = 2000,
     candidates=CANDIDATES,
@@ -599,44 +622,30 @@ def run_comparison_study(
 ) -> RiskReport:
     """Score candidate statistics against known winners over many trials.
 
-    Every pair is sampled ``n_samples`` times; each trial runs both
-    experiments, computes each candidate on both, and compares its pick
-    with the ground truth of the scored measures (the pair's independent
-    measure, or all measures for the simultaneous design). The mean error
-    per candidate and measure comes with an exact two-sided binomial
-    p-value against coin-flipping, flagged significant under a Bonferroni
-    correction across candidates.
+    The design (scale, sign regime, independent measure and the measures
+    to score) and the balance diagnostics are read from the batch as
+    ``generate_comparison_pairs`` recorded them. Every pair is sampled
+    ``n_samples`` times; each trial runs both experiments, computes each
+    candidate on both, and compares its pick with the ground truth of
+    the scored measures (the batch's independent measure, or all
+    measures for the simultaneous design). The mean error per candidate
+    and measure comes with an exact two-sided binomial p-value against
+    coin-flipping, flagged significant under a Bonferroni correction
+    across candidates.
     """
     from scipy import stats as sps
 
-    pair_list = list(pairs)
-    if not pair_list:
+    if not batch:
         raise OutOfRange("no pairs to score")
     if n_samples < 1:
         raise OutOfRange(f"n_samples must be positive, got {n_samples}")
     candidates = tuple(candidates)
-    independent = pair_list[0].independent_measure
-    truth_keys = set(pair_list[0].ground_truth)
-    scale = (
-        Scale.RELATIVE
-        if Measure.R_MU_DM in truth_keys or Measure.R_SIGMA_D in truth_keys
-        else Scale.RAW
-    )
-    candidate_needs([c for c in candidates if c != ORACLE], scale)
-    all_measures = RAW_MEASURES if scale is Scale.RAW else RELATIVE_MEASURES
-    measures = (
-        (independent,) if independent is not None
-        else tuple(m for m in all_measures if m in truth_keys)
-    )
-    regime = (
-        SignRegime.POSITIVE
-        if pair_list[0].exp1.mu_dm > 0
-        else SignRegime.NEGATIVE
-    )
+    candidate_needs([c for c in candidates if c != ORACLE], batch.scale)
+    measures = batch.scored
 
     tasks = [
-        (i, pair, n_samples, k_draws, seed, candidates, measures, scale)
-        for i, pair in enumerate(pair_list)
+        (i, pair, n_samples, k_draws, seed, candidates, measures, batch.scale)
+        for i, pair in enumerate(batch.pairs)
     ]
     results = pmap(_pair_worker, tasks, workers)
     errors = sum(r[0] for r in results)
@@ -665,35 +674,27 @@ def run_comparison_study(
                 )
             )
 
-    ratios_1 = [p.t_ratio_1 for p in pair_list]
-    ratios_2 = [p.t_ratio_2 for p in pair_list]
+    ratios_1 = [p.t_ratio_1 for p in batch]
+    ratios_2 = [p.t_ratio_2 for p in batch]
     if all(map(math.isfinite, ratios_1 + ratios_2)):
         ks_statistic = float(sps.ks_2samp(ratios_1, ratios_2).statistic)
     else:
         ks_statistic = math.nan
 
-    if isinstance(pairs, PairBatch):
-        regenerations = pairs.regenerations
-        winner = dict(pairs.winner_fractions)
-        agreement = dict(pairs.agreement_fractions)
-    else:
-        regenerations = 0
-        winner, agreement = _batch_fractions(
-            pair_list, tuple(m for m in all_measures if m in truth_keys)
-        )
-
     return RiskReport(
         rows=tuple(rows),
-        scale=scale,
-        regime=regime,
-        independent=independent.value if independent else "simultaneous",
-        n_pairs=len(pair_list),
+        scale=batch.scale,
+        regime=batch.regime,
+        independent=(
+            batch.independent.value if batch.independent else "simultaneous"
+        ),
+        n_pairs=len(batch),
         n_samples=n_samples,
         k_draws=k_draws,
         seed=seed,
-        regenerations=regenerations,
-        winner_fractions=winner,
-        agreement_fractions=agreement,
+        regenerations=batch.regenerations,
+        winner_fractions=dict(batch.winner_fractions),
+        agreement_fractions=dict(batch.agreement_fractions),
         ks_statistic=ks_statistic,
     )
 
@@ -808,22 +809,11 @@ def _config_worker(task):
     """One ladder config: per-candidate means over its trials, and the
     bootstrap means of ``_BOOTSTRAP_RESAMPLES`` resamples of its trials."""
     (index, config, n_samples, k_draws, seed, candidates, region) = task
-    requested = frozenset(candidates)
-    stats = np.full((n_samples, len(candidates)), np.nan)
-    with _trial_warnings():
-        for s in range(n_samples):
-            values = _trial_candidates(
-                config,
-                region,
-                requested,
-                k_draws,
-                (seed, "sample", index, s),
-                (seed, "post", index, s),
-            )
-            for ci, cand in enumerate(candidates):
-                value = values.get(cand)
-                if value is not None:
-                    stats[s, ci] = value
+    stats = _trial_table(config, region, candidates, k_draws, [
+        ((seed, "sample", index, s), (seed, "post", index, s))
+        for s in range(n_samples)
+    ])
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         means = np.nanmean(stats, axis=0)  # (C,)
         idx = substream(seed, "boot", index).integers(

@@ -50,7 +50,7 @@ from .model import (
     _require_tail_mass,
     summarize,
 )
-from .posterior import _bounds_sorted, _groups, require_relative
+from .posterior import _groups, credible_bounds_sorted, require_relative
 from .rng import substream
 
 __all__ = [
@@ -380,7 +380,7 @@ class _SuiteInputs:
 
     @cached_property
     def bounds_raw(self) -> CredibleBounds:
-        return _bounds_sorted(
+        return credible_bounds_sorted(
             self.draws.sorted_diff, self.study.alpha_dm, Scale.RAW
         )
 
@@ -388,7 +388,7 @@ class _SuiteInputs:
     def bounds_rel(self) -> CredibleBounds | None:
         if self.sorted_rel is None:
             return None
-        return _bounds_sorted(
+        return credible_bounds_sorted(
             self.sorted_rel, self.study.alpha_dm, Scale.RELATIVE
         )
 
@@ -568,6 +568,8 @@ def effect_strength(
 
     ``tail_mass`` defaults to the study's own alpha_dm. Relative results
     are present only when the posterior carried usable relative draws.
+    Like ``credible_bounds``, it raises InsufficientDraws with fewer
+    than ceil(2 / tail_mass) draws.
     """
     control, experiment = _groups(study)
     if tail_mass is None:

@@ -9,6 +9,7 @@ compare the package against these, never the other way around.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy import integrate, stats
@@ -263,6 +264,55 @@ def spearman_oracle(xs, ys) -> float:
         sum((a - mx) ** 2 for a in rx) * sum((b - my) ** 2 for b in ry)
     )
     return num / den
+
+
+# --- per-trial risk scoring -------------------------------------------------
+
+
+def pair_worker_loop(task):
+    """Errors and trials of one comparison pair, one trial at a time.
+
+    Takes the same task tuple as ``riskbench._pair_worker``. Each trial
+    runs side 1 and then side 2, and each candidate's pick is checked
+    against every scored measure's ground truth; a trial counts only when
+    both sides have a value, and the oracle counts every trial with no
+    error.
+    """
+    from leastdiff.model import Winner
+    from leastdiff.riskbench import ORACLE, _study_region, _trial_candidates
+    from leastdiff.stats import compare_candidate
+
+    (index, pair, n_samples, k_draws, seed, candidates, measures, scale) = task
+    requested = frozenset(c for c in candidates if c != ORACLE)
+    region = _study_region(pair.exp1.mu_x, scale)
+    errors = np.zeros((len(candidates), len(measures)), dtype=np.int64)
+    trials = np.zeros(len(candidates), dtype=np.int64)
+    truth_is_exp1 = [pair.ground_truth[m] is Winner.EXP1 for m in measures]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for s in range(n_samples):
+            values = [
+                _trial_candidates(
+                    config, region, requested, k_draws,
+                    (seed, "data", index, s, side),
+                    (seed, "post", index, s, side),
+                )
+                for side, config in ((1, pair.exp1), (2, pair.exp2))
+            ]
+            for ci, cand in enumerate(candidates):
+                if cand == ORACLE:
+                    trials[ci] += 1
+                    continue
+                v1 = values[0].get(cand)
+                v2 = values[1].get(cand)
+                if v1 is None or v2 is None:
+                    continue
+                trials[ci] += 1
+                pred_exp1 = compare_candidate(cand, v1, v2)
+                for mi in range(len(measures)):
+                    if pred_exp1 != truth_is_exp1[mi]:
+                        errors[ci, mi] += 1
+    return errors, trials
 
 
 # --- test data helpers ---------------------------------------------------------

@@ -182,6 +182,17 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_too_few_draws_for_a_row_alpha(self, tmp_path, capsys):
+        path = tmp_path / "tight.csv"
+        path.write_text(GOOD_TABLE.replace(",1/20,", ",0.05/100,"),
+                        encoding="utf-8")
+        code, out = run_cli(["analyze", str(path), "--draws", "1000"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: need at least 4000 draws for tail mass 0.0005, "
+            "got 1000\n")
+
     def test_nonpositive_control_stops_relative_analysis(self, frail_file,
                                                          capsys):
         with pytest.warns(ld.NonpositiveControlWarning):

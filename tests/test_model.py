@@ -101,8 +101,10 @@ class TestParseAlpha:
         assert parse_alpha(" 0.05 / 6 ") == pytest.approx(0.05 / 6, rel=1e-15)
 
     def test_out_of_range_value(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange) as caught:
             parse_alpha("0.6")
+        assert str(caught.value) == (
+            "alpha must lie in (0, 0.5), got 0.6 from '0.6'")
         with pytest.raises(OutOfRange):
             parse_alpha("0")
 

@@ -8,6 +8,8 @@ import pytest
 
 import leastdiff as ld
 from leastdiff import (
+    CANDIDATES,
+    ComparisonPair,
     InfeasibleSeries,
     Measure,
     OutOfRange,
@@ -20,6 +22,7 @@ from leastdiff import (
 from leastdiff.riskbench import (
     ALPHA_GRID,
     ORACLE,
+    _pair_worker,
     analytic_t_ratio,
     default_base_config,
     draw_sample,
@@ -275,6 +278,40 @@ class TestGenerateComparisonPairs:
         for measure in ld.RAW_MEASURES:
             assert lo <= batch.winner_fractions[measure.value] <= hi
 
+    def test_batch_records_its_design(self, mu_batch):
+        assert mu_batch.scale is Scale.RAW
+        assert mu_batch.regime is SignRegime.POSITIVE
+        assert mu_batch.independent is Measure.MU_DM
+        assert mu_batch.scored == (Measure.MU_DM,)
+        batch = generate_comparison_pairs(None, SignRegime.NEGATIVE, 50,
+                                          seed=2, scale=Scale.RELATIVE)
+        assert batch.scale is Scale.RELATIVE
+        assert batch.regime is SignRegime.NEGATIVE
+        assert batch.independent is None
+        assert batch.scored == ld.RELATIVE_MEASURES
+        report = run_comparison_study(batch, n_samples=1, k_draws=1000,
+                                      candidates=("rnd",), seed=1)
+        assert (report.scale, report.regime, report.independent) == (
+            batch.scale, batch.regime, "simultaneous")
+        assert [row.measure for row in report.rows] == [
+            m.value for m in batch.scored]
+        assert report.n_pairs == len(batch)
+        assert report.regenerations == batch.regenerations
+        assert report.winner_fractions == batch.winner_fractions
+        assert report.agreement_fractions == batch.agreement_fractions
+
+    def test_fractions_count_the_coins(self):
+        batch = generate_comparison_pairs(None, SignRegime.POSITIVE, 50,
+                                          seed=0, scale=Scale.RAW)
+        measures = ld.RAW_MEASURES
+        assert batch.winner_fractions == {
+            m.value: sum(p.ground_truth[m] is Winner.EXP1 for p in batch) / 50
+            for m in measures}
+        assert batch.agreement_fractions == {
+            f"{a.value}&{b.value}": sum(
+                p.ground_truth[a] is p.ground_truth[b] for p in batch) / 50
+            for i, a in enumerate(measures) for b in measures[i + 1:]}
+
     def test_count_floor(self):
         with pytest.raises(OutOfRange):
             generate_comparison_pairs(Measure.MU_DM, SignRegime.POSITIVE,
@@ -346,6 +383,50 @@ class TestRunComparisonStudy:
         with pytest.raises(OutOfRange):
             run_comparison_study(mini_batch, n_samples=1, k_draws=1000,
                                  candidates=("nonsense",))
+
+
+class TestPairWorker:
+    """The pair worker's table of trials against the per-trial loop."""
+
+    @staticmethod
+    def _check(pair, candidates, measures, scale, n_samples=3, index=0):
+        task = (index, pair, n_samples, 1000, 5, candidates, measures, scale)
+        got_errors, got_trials = _pair_worker(task)
+        want_errors, want_trials = oracles.pair_worker_loop(task)
+        assert np.array_equal(got_errors, want_errors)
+        assert np.array_equal(got_trials, want_trials)
+        return dict(zip(candidates, got_trials.tolist()))
+
+    def test_raw_batch_every_candidate(self):
+        batch = generate_comparison_pairs(None, SignRegime.POSITIVE, 50,
+                                          seed=0, scale=Scale.RAW)
+        names = ("delta_l",) + CANDIDATES + (ORACLE, "delta_l")
+        for index in (0, 7):
+            trials = self._check(batch[index], names, batch.scored,
+                                 batch.scale, index=index)
+            assert set(trials.values()) == {3}
+
+    def test_relative_batch_every_candidate(self):
+        batch = generate_comparison_pairs(Measure.R_MU_DM,
+                                          SignRegime.NEGATIVE, 50, seed=6)
+        self._check(batch[0], (ORACLE,) + CANDIDATES, batch.scored,
+                    batch.scale)
+
+    def test_withheld_relative_draws(self):
+        # a control mean near zero withholds the relative draws on some
+        # trials: those candidates lose trials, the others keep them all
+        pair = ComparisonPair(
+            PopulationConfig(4.0, 6.0, 1.0, 1.0, 4, 4, 0.05),
+            PopulationConfig(4.0, 7.0, 1.0, 1.0, 6, 6, 0.025),
+            None,
+            {Measure.R_MU_DM: Winner.EXP2, Measure.R_SIGMA_D: Winner.EXP2,
+             Measure.DF_D: Winner.EXP2, Measure.ALPHA_DM: Winner.EXP1},
+        )
+        trials = self._check(pair, CANDIDATES + (ORACLE,),
+                             ld.RELATIVE_MEASURES, Scale.RELATIVE,
+                             n_samples=6)
+        assert trials["xbar_dm"] == trials[ORACLE] == 6
+        assert 0 < trials["r_delta_l"] < 6
 
 
 class TestSpearmanStudy:

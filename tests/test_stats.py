@@ -11,6 +11,7 @@ from leastdiff import (
     CredibleBounds,
     EmptyDraws,
     GroupSummary,
+    InsufficientDraws,
     MixedSignRegime,
     NullRegion,
     OutOfRange,
@@ -410,6 +411,16 @@ class TestEffectStrength:
                     most_difference(values, tail, ref), ref)
             # repr compares floats bit for bit, 0.0 against -0.0 included
             assert repr(got) == repr(want)
+
+    def test_too_few_draws_for_the_tail_raise(self, toy_study):
+        # 1,000 draws resolve a tail mass down to 0.002, as credible_bounds
+        draws = sample_posterior(toy_study, k=1000, seed=2)
+        effect_strength(toy_study, draws, tail_mass=0.002)
+        with pytest.raises(InsufficientDraws,
+                           match="need at least 2000 draws"):
+            effect_strength(toy_study, draws, tail_mass=0.001)
+        with pytest.raises(InsufficientDraws):
+            credible_bounds(draws.diff, 0.001)
 
     def test_explicit_tail_with_withheld_relative_draws(self):
         study = StudyRecord(GroupSummary(0.5, 2.0, 4),
