@@ -45,7 +45,10 @@ class AnalysisRow:
     stats: CandidateStatistics
     bounds: CredibleBounds
     designation: Designation
-    practically_significant: bool
+
+    @property
+    def practically_significant(self) -> bool:
+        return self.designation is Designation.PRACTICALLY_SIGNIFICANT
 
 
 ANALYSIS_COLUMNS = (
@@ -72,16 +75,12 @@ def _analyze_one(task):
         values = draws.sorted_diff
         delta = suite.delta_l
     bounds = credible_bounds_sorted(values, record.alpha_dm, scale)
-    designation = designate(delta, region)
     return AnalysisRow(
         row_id=row.row_id,
         record=record,
         stats=suite,
         bounds=bounds,
-        designation=designation,
-        practically_significant=(
-            designation is Designation.PRACTICALLY_SIGNIFICANT
-        ),
+        designation=designate(delta, region),
     )
 
 

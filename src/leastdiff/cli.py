@@ -38,8 +38,6 @@ from .model import (
     NullRegion,
     OutOfRange,
     ParseError,
-    RAW_MEASURES,
-    RELATIVE_MEASURES,
     RegimeInfeasible,
     RiskRow,
     Scale,
@@ -223,11 +221,6 @@ def _write_report(columns, rows, payload, args) -> None:
 
 def cmd_analyze(args) -> int:
     scale = Scale(args.scale)
-    if not args.neg_threshold < 0.0 < args.pos_threshold:
-        raise InputError(
-            "thresholds must straddle zero: "
-            f"got ({args.neg_threshold}, {args.pos_threshold})"
-        )
     region = NullRegion(args.neg_threshold, args.pos_threshold, scale)
     rows = read_studies_csv(args.input)
     results = analyze_studies(
@@ -296,16 +289,9 @@ def cmd_risk(args) -> int:
 def cmd_correlate(args) -> int:
     scale = Scale(args.scale)
     regime = SignRegime(args.regime)
-    scale_measures = RAW_MEASURES if scale is Scale.RAW else RELATIVE_MEASURES
-    if args.measure == "all":
-        measures = scale_measures
-    else:
-        one = Measure(args.measure)
-        if one not in scale_measures:
-            raise InputError(
-                f"measure {one.value} is not part of the {scale.value} scale"
-            )
-        measures = (one,)
+    measures = (
+        scale.measures if args.measure == "all" else (Measure(args.measure),)
+    )
     candidates = _parse_candidates(args.candidates)
     base = default_base_config(scale, regime)
 

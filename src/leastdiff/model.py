@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -152,6 +152,19 @@ class Scale(str, Enum):
     RAW = "raw"
     RELATIVE = "relative"
 
+    @property
+    def measures(self) -> tuple[Measure, ...]:
+        """The measures of strength scored on this scale."""
+        return RAW_MEASURES if self is Scale.RAW else RELATIVE_MEASURES
+
+    def require_measure(self, measure: Measure) -> None:
+        """Raise OutOfRange unless this scale scores the measure."""
+        if measure not in self.measures:
+            raise OutOfRange(
+                f"measure {measure.value} is not scored on the "
+                f"{self.value} scale"
+            )
+
 
 class Measure(str, Enum):
     """Population quantities that can make one experiment 'stronger'."""
@@ -203,26 +216,6 @@ class Designation(str, Enum):
     PRACTICALLY_SIGNIFICANT = "practically_significant"
     NOT_PRACTICALLY_SIGNIFICANT = "not_practically_significant"
     NO_POSTERIOR_SIGNIFICANCE = "no_posterior_significance"
-
-
-# Column/field order of the candidate decision statistics, used everywhere a
-# stable ordering matters (CSV columns, benchmark loops, Bonferroni counts).
-CANDIDATES: tuple[str, ...] = (
-    "xbar_dm",
-    "r_xbar_dm",
-    "s_dm",
-    "rs_dm",
-    "bf",
-    "p_n",
-    "p_e",
-    "p_sg",
-    "cohen_d",
-    "delta_m",
-    "r_delta_m",
-    "delta_l",
-    "r_delta_l",
-    "rnd",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +473,11 @@ class CandidateStatistics:
         return getattr(self, candidate)
 
 
+# Column/field order of the candidate decision statistics, used everywhere a
+# stable ordering matters (CSV columns, benchmark loops, Bonferroni counts).
+CANDIDATES: tuple[str, ...] = tuple(f.name for f in fields(CandidateStatistics))
+
+
 # ---------------------------------------------------------------------------
 # simulation configuration types
 
@@ -542,37 +540,26 @@ class PopulationConfig:
     def r_sigma_dm(self) -> float:
         return self.sigma_dm / self.mu_x
 
-    def measure_value(self, measure: Measure) -> float:
-        if measure is Measure.MU_DM:
-            return self.mu_dm
-        if measure is Measure.SIGMA_D:
-            return self.sigma_d
-        if measure is Measure.DF_D:
-            return float(self.df_d)
-        if measure is Measure.ALPHA_DM:
-            return self.alpha_dm
-        if measure is Measure.R_MU_DM:
-            return self.r_mu_dm
-        if measure is Measure.R_SIGMA_D:
-            return self.r_sigma_d
-        raise OutOfRange(f"unknown measure {measure!r}")
+    def measure_value(self, measure: Measure | str) -> float:
+        """The value of a measure, read from the property named after it."""
+        try:
+            return float(getattr(self, Measure(measure).value))
+        except ValueError:
+            raise OutOfRange(f"unknown measure {measure!r}") from None
 
 
 @dataclass(frozen=True)
 class ComparisonPair:
     """Two population configs with known ground truth per measure.
 
-    ``independent_measure`` names the one measure this pair was built to
-    probe (None for the simultaneous design where all measures differ with
-    balanced odds). ``ground_truth`` maps each scored measure to the config
-    that is stronger on it. ``t_ratio_1``/``t_ratio_2`` hold the mean sample
+    ``ground_truth`` maps each scored measure to the config that is
+    stronger on it. ``t_ratio_1``/``t_ratio_2`` hold the mean sample
     t-ratio estimated from probe samples during generation; they document
     that both configs sit inside the intended sign regime.
     """
 
     exp1: PopulationConfig
     exp2: PopulationConfig
-    independent_measure: Measure | None
     ground_truth: Mapping[Measure, Winner]
     t_ratio_1: float = math.nan
     t_ratio_2: float = math.nan
@@ -580,6 +567,16 @@ class ComparisonPair:
 
 # ---------------------------------------------------------------------------
 # report types
+
+
+class _ReportRows:
+    """Row lookup shared by the report types, which hold their ``rows``."""
+
+    def row(self, candidate: str, measure: str):
+        for r in self.rows:
+            if r.candidate == candidate and r.measure == measure:
+                return r
+        raise KeyError((candidate, measure))
 
 
 @dataclass(frozen=True)
@@ -601,7 +598,7 @@ class RiskRow:
 
 
 @dataclass(frozen=True)
-class RiskReport:
+class RiskReport(_ReportRows):
     rows: tuple[RiskRow, ...]
     scale: Scale
     regime: SignRegime
@@ -614,12 +611,6 @@ class RiskReport:
     winner_fractions: Mapping[str, float]
     agreement_fractions: Mapping[str, float]
     ks_statistic: float
-
-    def row(self, candidate: str, measure: str) -> RiskRow:
-        for r in self.rows:
-            if r.candidate == candidate and r.measure == measure:
-                return r
-        raise KeyError((candidate, measure))
 
 
 @dataclass(frozen=True)
@@ -635,19 +626,13 @@ class CorrelationRow:
 
 
 @dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(_ReportRows):
     rows: tuple[CorrelationRow, ...]
     scale: Scale
     n_configs: int
     n_samples: int
     k_draws: int
     seed: int
-
-    def row(self, candidate: str, measure: str) -> CorrelationRow:
-        for r in self.rows:
-            if r.candidate == candidate and r.measure == measure:
-                return r
-        raise KeyError((candidate, measure))
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +659,9 @@ def _summarize_one(arr: np.ndarray) -> GroupSummary:
     )
 
 
-_ALPHA_RE = re.compile(r"\A\s*(\d+\.?\d*|\.\d+)\s*(?:/\s*(\d+)\s*)?\Z")
+_ALPHA_RE = re.compile(
+    r"\A\s*(\d+\.?\d*|\.\d+)\s*(?:/\s*(\d+)\s*)?\Z", re.ASCII
+)
 
 
 def parse_alpha(text: str) -> float:
@@ -689,16 +676,14 @@ def parse_alpha(text: str) -> float:
             f"cannot parse alpha {text!r}: expected <decimal> or "
             "<decimal>/<positive integer>"
         )
-    numerator = float(match.group(1))
-    if match.group(2) is not None:
-        divisor = int(match.group(2))
-        if divisor < 1:
-            raise ParseError(
-                f"cannot parse alpha {text!r}: divisor must be a positive integer"
-            )
-        value = numerator / divisor
-    else:
-        value = numerator
+    # a float divisor is exact up to 2**53 and turns an overlong one into
+    # inf, so the value falls out of range instead of overflowing
+    divisor = float(match.group(2) or 1)
+    if divisor < 1:
+        raise ParseError(
+            f"cannot parse alpha {text!r}: divisor must be a positive integer"
+        )
+    value = float(match.group(1)) / divisor
     try:
         _require_tail_mass("alpha", value)
     except OutOfRange as exc:

@@ -46,8 +46,6 @@ from .model import (
     NullRegion,
     OutOfRange,
     PopulationConfig,
-    RAW_MEASURES,
-    RELATIVE_MEASURES,
     RawSamples,
     RegimeInfeasible,
     RiskReport,
@@ -429,12 +427,9 @@ def generate_comparison_pairs(
         raise OutOfRange(f"count must be at least 50, got {count}")
     regime = SignRegime(regime)
     the_scale = _resolve_scale(independent, scale)
-    measures = RAW_MEASURES if the_scale is Scale.RAW else RELATIVE_MEASURES
-    if independent is not None and independent not in measures:
-        raise OutOfRange(
-            f"measure {independent.value} is not scored on the "
-            f"{the_scale.value} scale"
-        )
+    measures = the_scale.measures
+    if independent is not None:
+        the_scale.require_measure(independent)
     knob = _knob_for(independent) if independent is not None else None
     measure_of = {_knob_for(meas): meas for meas in measures}
 
@@ -483,7 +478,6 @@ def generate_comparison_pairs(
                     ComparisonPair(
                         exp1=sides[0],
                         exp2=sides[1],
-                        independent_measure=independent,
                         ground_truth=dict(coins),
                         t_ratio_1=ratio1,
                         t_ratio_2=ratio2,
@@ -746,12 +740,15 @@ def generate_series(
     up, noise scales down, sizes grow, tail masses grow. Side effects on
     other derived quantities are unavoidable (scaling the mean difference
     moves its relative version too) and are reported in ``couplings``.
+    ``scale`` defaults to the measure's own and must score the measure.
     """
     measure = Measure(measure)
     if steps < 5:
         raise OutOfRange(f"steps must be at least 5, got {steps}")
     if scale is None:
         scale = Scale.RELATIVE if measure.is_relative else Scale.RAW
+    scale = Scale(scale)
+    scale.require_measure(measure)
     if base is None:
         base = default_base_config(scale)
 
@@ -789,7 +786,7 @@ def generate_series(
             last = size
         configs = tuple(replace(base, m=s, n=s) for s in sizes)
         couplings = ("sigma_dm", "r_sigma_dm")
-    elif measure is Measure.ALPHA_DM:
+    else:  # Measure.ALPHA_DM
         if steps > len(ALPHA_GRID):
             raise InfeasibleSeries(
                 f"tail-mass grid supports at most {len(ALPHA_GRID)} steps"
@@ -797,8 +794,6 @@ def generate_series(
         ks = range(steps, 0, -1)
         configs = tuple(replace(base, alpha_dm=0.05 / k) for k in ks)
         couplings = ()
-    else:
-        raise OutOfRange(f"unknown measure {measure!r}")
 
     return MeasureSeries(
         measure=measure, scale=scale, configs=configs, couplings=couplings

@@ -623,8 +623,7 @@ def decide_stronger(
     readings are only meaningful within one sign regime. Pass
     ``strict=False`` to compare anyway.
     """
-    if candidate not in CANDIDATES:
-        raise OutOfRange(f"unknown candidate statistic {candidate!r}")
+    value1 = stats1.value(candidate)
     if strict and (stats1.xbar_dm is None or stats2.xbar_dm is None):
         raise OutOfRange(
             "a strict comparison reads xbar_dm; compute it or pass "
@@ -634,8 +633,7 @@ def decide_stronger(
         raise MixedSignRegime(
             "experiments disagree on the sign of the mean difference"
         )
-    value1 = getattr(stats1, candidate)
-    value2 = getattr(stats2, candidate)
+    value2 = stats2.value(candidate)
     if value1 is None or value2 is None:
         raise OutOfRange(
             f"candidate {candidate!r} is unavailable for one of the results"

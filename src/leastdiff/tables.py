@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +71,19 @@ def _cell_error(row: int, column: str, problem: str) -> InputError:
     return InputError(f"row {row}, column {column!r}: {problem}")
 
 
+# Number cells take ASCII decimal and exponent forms only, optionally
+# padded with ASCII whitespace: no digit separators, non-ASCII digits,
+# inf or nan, which Python's float() and int() would accept.
+_FLOAT_RE = re.compile(
+    r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\s*", re.ASCII
+)
+_INT_RE = re.compile(r"\s*[+-]?\d+\s*", re.ASCII)
+
+
 def _parse_float(text: str, row: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise _cell_error(row, column, f"not a number: {text!r}") from None
+    if not _FLOAT_RE.fullmatch(text):
+        raise _cell_error(row, column, f"not a number: {text!r}")
+    value = float(text)
     if not math.isfinite(value):
         raise _cell_error(row, column, f"not finite: {text!r}")
     return value
@@ -82,20 +91,23 @@ def _parse_float(text: str, row: int, column: str) -> float:
 
 def _parse_int(text: str, row: int, column: str) -> int:
     try:
-        return int(text)
-    except ValueError:
-        raise _cell_error(row, column, f"not an integer: {text!r}") from None
+        if _INT_RE.fullmatch(text):
+            return int(text)
+    except ValueError:  # beyond int()'s digit limit
+        pass
+    raise _cell_error(row, column, f"not an integer: {text!r}")
 
 
 def read_studies_csv(source) -> list[StudyTableRow]:
     """Parse a study table from a path or an open text stream.
 
-    Raises InputError naming the offending row and column on any schema
-    violation; an empty table (no data rows) is also an error.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is
+    skipped. Raises InputError naming the offending row and column on any
+    schema violation; an empty table (no data rows) is also an error.
     """
     if hasattr(source, "read"):
         return _read_studies(source, getattr(source, "name", "<stream>"))
-    with open(source, "r", encoding="utf-8", newline="") as handle:
+    with open(source, "r", encoding="utf-8-sig", newline="") as handle:
         return _read_studies(handle, str(source))
 
 
@@ -105,6 +117,8 @@ def _read_studies(handle, name: str) -> list[StudyTableRow]:
         header = next(reader)
     except StopIteration:
         raise InputError(f"{name}: empty file, expected a header row") from None
+    if header:  # a byte-order mark left by a stream's encoding
+        header[0] = header[0].removeprefix("\ufeff")
     if tuple(h.strip() for h in header) != STUDY_COLUMNS:
         raise InputError(
             f"{name}: header must be exactly {','.join(STUDY_COLUMNS)}, "

@@ -6,8 +6,10 @@ and stdout are exactly what a shell invocation would see.
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,6 +17,7 @@ import leastdiff as ld
 from conftest import run_cli
 from leastdiff.analyze import ANALYSIS_COLUMNS
 from leastdiff.cli import CORRELATE_COLUMNS, RISK_COLUMNS
+from leastdiff.parallel import pmap
 
 GOOD_TABLE = """\
 id,label_control,xbar,sx,m,label_experiment,ybar,sy,n,units,alpha,source
@@ -310,3 +313,41 @@ class TestCorrelateCommand:
                            "--measure", "r_mu_dm"])
         assert code == 2
         assert "r_mu_dm" in capsys.readouterr().err
+
+    def test_off_scale_measure_names_the_scale(self, capsys):
+        code, _ = run_cli(["correlate", "--scale", "raw",
+                           "--measure", "r_mu_dm"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: measure r_mu_dm is not scored on the raw scale\n")
+
+
+def _worker_pid(_):
+    # long enough that every worker of the pool takes a task
+    time.sleep(0.05)
+    return os.getpid()
+
+
+class TestWorkersAboveCoreCount:
+    """pmap clamps the pool to os.cpu_count(); a host that reports eight
+    cores must run eight processes and still write identical reports."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def test_risk_report_is_identical_at_any_worker_count(self, tmp_path):
+        reports = []
+        for workers in ("1", "3", "8"):
+            path = tmp_path / f"risk-{workers}.csv"
+            code, _ = run_cli(["risk", "--pairs", "50", "--samples", "2",
+                               "--candidates", "delta_l,rnd",
+                               "--workers", workers, "--out-csv", str(path)])
+            assert code == 0
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_pool_runs_eight_processes(self):
+        pids = pmap(_worker_pid, range(64), workers=8)
+        assert len(set(pids)) == 8
+        assert os.getpid() not in pids

@@ -1,10 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module-level private name goes unused.
 
 No linter ships with the toolchain, so this parses each module with
-``ast``. A package ``__init__.py`` is exempt, since its imports are
-re-exports, and so is a name listed in the module's ``__all__``.
+``ast``. A package ``__init__.py`` is exempt from the import check, since
+its imports are re-exports, and so is a name listed in the module's
+``__all__``.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,9 +15,8 @@ import pytest
 import leastdiff
 
 PACKAGE = Path(leastdiff.__file__).resolve().parent
-MODULES = sorted(
-    path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py"
-)
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def _imported_names(tree):
@@ -56,3 +58,51 @@ def test_no_unused_imports(path):
         if name not in used
     ]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _private_definitions(tree):
+    """Top-level statements binding a private (leading ``_``, not dunder)
+    name, with that name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield node, name
+
+
+def _references(tree):
+    """Names a syntax tree reads: loaded names, attributes, and names
+    imported from another module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_name_is_referenced():
+    # names are matched across modules without their module, so a name
+    # defined in two modules counts as used if either use is found
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in SOURCES
+    }
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    unused = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+        for path, tree in trees.items()
+        for node, name in _private_definitions(tree)
+        if refs[name] == sum(ref == name for ref in _references(node))
+    ]
+    assert not unused, f"private names nothing references: {unused}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import leastdiff as ld
+from leastdiff import stats
 from leastdiff import (
     CANDIDATES,
     CandidateStatistics,
@@ -172,6 +173,14 @@ class TestPopulationConfig:
         assert cfg.measure_value(Measure.R_MU_DM) == cfg.r_mu_dm
         assert cfg.measure_value(Measure.R_SIGMA_D) == cfg.r_sigma_d
 
+    def test_measure_value_by_name(self):
+        cfg = PopulationConfig(50.0, 65.0, 3.0, 4.0, 10, 14, 0.05)
+        assert cfg.measure_value("r_mu_dm") == cfg.r_mu_dm
+        assert cfg.measure_value("df_d") == 22.0
+        for unknown in ("sigma_dm", "mu_x", None):
+            with pytest.raises(OutOfRange, match="unknown measure"):
+                cfg.measure_value(unknown)
+
     def test_group_sizes_validated(self):
         with pytest.raises(OutOfRange):
             PopulationConfig(50.0, 65.0, 3.0, 4.0, 1, 14, 0.05)
@@ -241,3 +250,22 @@ class TestEnums:
     def test_sign_regime_signs(self):
         assert ld.SignRegime.POSITIVE.sign == 1
         assert ld.SignRegime.NEGATIVE.sign == -1
+
+
+class TestOneOwnerPerList:
+    """Each list the package relies on is written once and read elsewhere."""
+
+    def test_registry_follows_the_candidate_fields(self):
+        assert tuple(stats._REGISTRY) == CANDIDATES
+
+    def test_each_scale_owns_its_measures(self):
+        assert Scale.RAW.measures == ld.RAW_MEASURES
+        assert Scale.RELATIVE.measures == ld.RELATIVE_MEASURES
+        Scale.RELATIVE.require_measure(Measure.DF_D)
+
+    def test_off_scale_measure_has_one_message(self):
+        message = "^measure mu_dm is not scored on the relative scale$"
+        with pytest.raises(OutOfRange, match=message):
+            Scale.RELATIVE.require_measure(Measure.MU_DM)
+        with pytest.raises(OutOfRange, match=message):
+            ld.generate_series(Measure.MU_DM, 5, scale=Scale.RELATIVE)

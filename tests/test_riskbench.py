@@ -273,7 +273,7 @@ class TestGenerateComparisonPairs:
             generate_comparison_pairs(None, SignRegime.POSITIVE, 50, seed=0)
         batch = generate_comparison_pairs(None, SignRegime.POSITIVE, 50,
                                           seed=0, scale=Scale.RAW)
-        assert batch[0].independent_measure is None
+        assert batch.independent is None
         lo, hi = fairness_band(50)
         for measure in ld.RAW_MEASURES:
             assert lo <= batch.winner_fractions[measure.value] <= hi
@@ -418,7 +418,6 @@ class TestPairWorker:
         pair = ComparisonPair(
             PopulationConfig(4.0, 6.0, 1.0, 1.0, 4, 4, 0.05),
             PopulationConfig(4.0, 7.0, 1.0, 1.0, 6, 6, 0.025),
-            None,
             {Measure.R_MU_DM: Winner.EXP2, Measure.R_SIGMA_D: Winner.EXP2,
              Measure.DF_D: Winner.EXP2, Measure.ALPHA_DM: Winner.EXP1},
         )

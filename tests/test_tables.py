@@ -1,10 +1,15 @@
 """Study-table CSV schema, output formatting, bundled data, analysis layer."""
 
+import csv
 import io
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import leastdiff as ld
 from leastdiff import (
@@ -99,6 +104,108 @@ class TestReadStudiesCsv:
         target = tmp_path / "studies.csv"
         target.write_text(HEADER + "\nS1,c,1,0.5,5,e,2,0.5,5,u,0.05,s\n")
         assert read_studies_csv(target)[0].row_id == "S1"
+
+    def test_byte_order_mark_skipped_on_a_path(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        target = tmp_path / "studies.csv"
+        target.write_text(HEADER + "\n" + ROW + "\n", encoding="utf-8-sig")
+        assert read_studies_csv(target)[0].row_id == "S1"
+
+    def test_byte_order_mark_skipped_on_a_stream(self, tmp_path):
+        target = tmp_path / "studies.csv"
+        target.write_text(HEADER + "\n" + ROW + "\n", encoding="utf-8-sig")
+        with open(target, encoding="utf-8", newline="") as handle:
+            assert read_studies_csv(handle)[0].row_id == "S1"
+        assert read_text("\ufeff" + HEADER + "\n" + ROW + "\n")
+
+
+ROW = "S1,c,1,0.5,5,e,2,0.5,5,u,0.05,s"
+NUMBER_COLUMNS = ("xbar", "sx", "m", "ybar", "sy", "n", "alpha")
+
+# The ASCII cell grammar, written as the characters each kind of cell may
+# hold; within them, Python's own float() and int() give the value.
+_SPACE = " \t\n\r\f\v"
+_FLOAT_CHARS = frozenset(_SPACE + "+-.eE0123456789")
+_INT_CHARS = frozenset(_SPACE + "+-0123456789")
+_ALPHA_CHARS = frozenset(_SPACE + "./0123456789")
+NUMBER_FORM = r"\A\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*\Z"
+ALPHA_FORM = r"\A\s*(\d+\.?\d*|\.\d+)\s*(/\s*\d+\s*)?\Z"
+
+
+def table_with(column, text):
+    """A one-row study table whose cell in ``column`` holds ``text``."""
+    cells = dict(zip(STUDY_COLUMNS, ROW.split(",")))
+    cells[column] = text
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(
+        [STUDY_COLUMNS, [cells[c] for c in STUDY_COLUMNS]])
+    return buffer.getvalue()
+
+
+def ascii_cell_value(column, text):
+    """The value the ASCII grammar gives the cell, or None when the text is
+    outside the grammar or the value outside the column's range."""
+    try:
+        if column == "alpha":
+            if not set(text) <= _ALPHA_CHARS:
+                return None
+            parts = text.split("/")
+            if len(parts) > 2:
+                return None
+            value = float(parts[0]) / (int(parts[1]) if parts[1:] else 1)
+            return value if 0.0 < value < 0.5 else None
+        if column in ("m", "n"):
+            value = int(text) if set(text) <= _INT_CHARS else None
+            return value if value is not None and value >= 2 else None
+        value = float(text) if set(text) <= _FLOAT_CHARS else math.nan
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    if not math.isfinite(value) or (column in ("sx", "sy") and value < 0):
+        return None
+    return value
+
+
+def cell_value(record, column):
+    return {
+        "xbar": record.control.mean, "sx": record.control.sd,
+        "m": record.control.size, "ybar": record.experiment.mean,
+        "sy": record.experiment.sd, "n": record.experiment.size,
+        "alpha": record.alpha_dm,
+    }[column]
+
+
+class TestHostileCells:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        column=st.sampled_from(NUMBER_COLUMNS),
+        text=st.one_of(st.text(max_size=12), *(
+            # number-shaped text, with any Unicode digit and space or ASCII
+            st.from_regex(re.compile(form, flags))
+            for form in (NUMBER_FORM, ALPHA_FORM)
+            for flags in (0, re.ASCII)
+        )),
+    )
+    @example(column="xbar", text="1_00")
+    @example(column="m", text="１０")
+    @example(column="alpha", text="٠.٠٥")
+    @example(column="sx", text="\u00a00.5")
+    @example(column="sy", text="inf")
+    @example(column="ybar", text=" -1.5e2 ")
+    @example(column="alpha", text="0.05/" + "9" * 400)
+    @example(column="n", text="1" * 5000)
+    def test_cell_reads_as_the_ascii_grammar_or_names_itself(
+        self, column, text
+    ):
+        want = ascii_cell_value(column, text)
+        try:
+            rows = read_text(table_with(column, text))
+        except InputError as exc:
+            assert want is None, str(exc)
+            named = re.match(r"row 2, column '([^']*)'", str(exc))
+            assert named and column in named.group(1).split("/"), str(exc)
+            return
+        assert want is not None
+        assert cell_value(rows[0].record, column) == want
 
 
 class TestRoundTrip:
