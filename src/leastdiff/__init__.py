@@ -23,7 +23,7 @@ posterior, and read the suite::
     )
     draws = sample_posterior(study, k=10000, seed=1)
     region = NullRegion(-0.2, 0.2, Scale.RELATIVE)
-    suite = candidate_suite(None, study, region, draws)
+    suite = candidate_suite(study, region, draws)
     print(suite.r_delta_l, designate(suite.r_delta_l, region))
 """
 from __future__ import annotations
@@ -74,7 +74,6 @@ from .posterior import (
     MIN_DRAWS,
     NONPOSITIVE_TOLERANCE,
     credible_bounds,
-    ecdf,
     require_relative,
     sample_posterior,
 )
@@ -87,7 +86,6 @@ from .stats import (
     effect_strength,
     equivalence_margins,
     least_difference,
-    least_difference_scan,
     mean_difference,
     most_difference,
     relative_mean_difference,
@@ -103,7 +101,6 @@ from .riskbench import (
     MeasureSeries,
     ORACLE,
     PairBatch,
-    analytic_t_ratio,
     default_base_config,
     draw_sample,
     expected_t_ratio,
@@ -112,7 +109,6 @@ from .riskbench import (
     generate_series,
     run_comparison_study,
     spearman_study,
-    t_ratio,
 )
 from .tables import (
     STUDY_COLUMNS,

@@ -67,7 +67,7 @@ def _analyze_one(task):
             f"study {row.row_id!r}: control posterior is not safely positive; "
             "relative analysis is unavailable"
         )
-    suite = candidate_suite(None, record, region, draws)
+    suite = candidate_suite(record, region, draws)
     if scale is Scale.RELATIVE:
         values = draws.sorted_rel_diff
         delta = suite.r_delta_l

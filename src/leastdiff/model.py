@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -324,8 +324,6 @@ class PosteriorDraws:
     rel_diff: np.ndarray | None
     k: int
     seed: int
-    degenerate_x: bool = False
-    degenerate_y: bool = False
     nonpositive_fraction: float = 0.0
 
     def __post_init__(self) -> None:
@@ -639,16 +637,10 @@ class CorrelationReport(_ReportRows):
 # input helpers
 
 
-def summarize(samples: RawSamples | Sequence[float] | np.ndarray):
-    """Reduce raw observations to sufficient statistics.
-
-    Given a RawSamples, returns a (control, experiment) pair of
-    GroupSummary. Given a single sequence, returns one GroupSummary.
-    Uses the sample sd (ddof=1).
-    """
-    if isinstance(samples, RawSamples):
-        return _summarize_one(samples.x), _summarize_one(samples.y)
-    return _summarize_one(_as_sample_vector("samples", samples))
+def summarize(samples: RawSamples) -> tuple[GroupSummary, GroupSummary]:
+    """Reduce raw observations to their (control, experiment) sufficient
+    statistics, with the sample sd (ddof=1)."""
+    return _summarize_one(samples.x), _summarize_one(samples.y)
 
 
 def _summarize_one(arr: np.ndarray) -> GroupSummary:

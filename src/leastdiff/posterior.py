@@ -22,7 +22,6 @@ import numpy as np
 from .model import (
     CredibleBounds,
     DegenerateScaleWarning,
-    EmptyDraws,
     GroupSummary,
     InsufficientDraws,
     NonpositiveControl,
@@ -30,7 +29,6 @@ from .model import (
     OutOfRange,
     PosteriorDraws,
     Scale,
-    StudyRecord,
     _require_tail_mass,
 )
 from .rng import substream
@@ -40,7 +38,6 @@ __all__ = [
     "NONPOSITIVE_TOLERANCE",
     "sample_posterior",
     "require_relative",
-    "ecdf",
     "credible_bounds",
     "credible_bounds_sorted",
 ]
@@ -52,13 +49,6 @@ MIN_DRAWS = 1000
 NONPOSITIVE_TOLERANCE = 1e-3
 
 
-def _groups(study) -> tuple[GroupSummary, GroupSummary]:
-    if isinstance(study, StudyRecord):
-        return study.control, study.experiment
-    control, experiment = study
-    return control, experiment
-
-
 def _mean_marginal(rng: np.random.Generator, group: GroupSummary, k: int):
     if group.sd == 0.0:
         warnings.warn(
@@ -66,27 +56,25 @@ def _mean_marginal(rng: np.random.Generator, group: GroupSummary, k: int):
             DegenerateScaleWarning,
             stacklevel=3,
         )
-        return np.full(k, group.mean, dtype=np.float64), True
+        return np.full(k, group.mean, dtype=np.float64)
     scale = group.sd / math.sqrt(group.size)
-    draws = group.mean + scale * rng.standard_t(group.size - 1, size=k)
-    return draws, False
+    return group.mean + scale * rng.standard_t(group.size - 1, size=k)
 
 
 def sample_posterior(study, k: int = 10000, seed: int = 0) -> PosteriorDraws:
     """Draw k Monte Carlo samples of both group means and their difference.
 
-    `study` is a StudyRecord or a (control, experiment) pair of
-    GroupSummary. The control and experiment streams are independent
-    substreams of `seed`, so either margin is reproducible on its own.
+    `study` is a StudyRecord. The control and experiment streams are
+    independent substreams of `seed`, so either margin is reproducible on
+    its own.
     """
-    control, experiment = _groups(study)
     if k < MIN_DRAWS:
         raise OutOfRange(f"k must be at least {MIN_DRAWS}, got {k}")
     k = int(k)
     seed = int(seed)
 
-    mu_x, degenerate_x = _mean_marginal(substream(seed, "mu_x"), control, k)
-    mu_y, degenerate_y = _mean_marginal(substream(seed, "mu_y"), experiment, k)
+    mu_x = _mean_marginal(substream(seed, "mu_x"), study.control, k)
+    mu_y = _mean_marginal(substream(seed, "mu_y"), study.experiment, k)
     diff = mu_y - mu_x
 
     n_nonpositive = int(np.count_nonzero(mu_x <= 0.0))
@@ -117,8 +105,6 @@ def sample_posterior(study, k: int = 10000, seed: int = 0) -> PosteriorDraws:
         rel_diff=rel_diff,
         k=k,
         seed=seed,
-        degenerate_x=degenerate_x,
-        degenerate_y=degenerate_y,
         nonpositive_fraction=fraction,
     )
 
@@ -132,14 +118,6 @@ def require_relative(draws: PosteriorDraws) -> np.ndarray:
             "at or below zero"
         )
     return draws.rel_diff
-
-
-def ecdf(draws, z: float) -> float:
-    """Empirical CDF of the draws at z: fraction of draws <= z."""
-    arr = np.asarray(draws, dtype=float)
-    if arr.size == 0:
-        raise EmptyDraws("ecdf needs at least one draw")
-    return float(np.count_nonzero(arr <= z)) / arr.size
 
 
 def _quantile_sorted(sorted_arr: np.ndarray, q: float) -> float:

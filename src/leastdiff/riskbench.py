@@ -73,9 +73,7 @@ __all__ = [
     "ORACLE",
     "ALPHA_GRID",
     "draw_sample",
-    "t_ratio",
     "expected_t_ratio",
-    "analytic_t_ratio",
     "fairness_band",
     "PairBatch",
     "generate_comparison_pairs",
@@ -141,30 +139,6 @@ def draw_sample(config: PopulationConfig, rng: np.random.Generator) -> RawSample
     return RawSamples(x=x, y=y)
 
 
-def t_ratio(samples: RawSamples, alpha_dm: float) -> float:
-    """Sample t-statistic over the critical t at the study's tail mass.
-
-    The statistic is the mean difference over its unpooled standard
-    error; the critical value uses m + n - 1 degrees of freedom. Ratios
-    beyond +1 (or below -1) put the sample inside the corresponding sign
-    regime. Degenerate samples (both variances zero) return a signed
-    infinity, or 0 for identical means, with a warning.
-    """
-    x, y = samples.x, samples.y
-    m, n = x.size, y.size
-    diff = float(y.mean() - x.mean())
-    se2 = float(x.var(ddof=1)) / m + float(y.var(ddof=1)) / n
-    t_crit = float(special.stdtrit(m + n - 1, 1.0 - alpha_dm))
-    if se2 == 0.0:
-        warnings.warn(
-            "both samples have zero variance; t-ratio set by convention",
-            ZeroVarianceWarning,
-            stacklevel=2,
-        )
-        return math.copysign(math.inf, diff) if diff != 0.0 else 0.0
-    return diff / math.sqrt(se2) / abs(t_crit)
-
-
 def expected_t_ratio(
     config: PopulationConfig,
     rng: np.random.Generator,
@@ -172,9 +146,15 @@ def expected_t_ratio(
 ) -> float:
     """Mean sample t-ratio over fresh probe experiments.
 
-    The probes are drawn in one block and their ratios summed in probe
-    order, so the result equals averaging ``t_ratio`` over ``n_probe``
-    successive ``draw_sample`` calls on the same generator.
+    A probe's t-ratio is its mean difference over the unpooled standard
+    error, divided by the critical t at the config's tail mass with
+    m + n - 1 degrees of freedom; ratios beyond +1 (or below -1) put the
+    probe inside the corresponding sign regime. A probe whose two
+    variances are both zero scores a signed infinity, or 0 for identical
+    means, with a warning. The probes are drawn in one block and their
+    ratios summed in probe order, so the result equals averaging the
+    ratios of ``n_probe`` successive ``draw_sample`` calls on the same
+    generator.
     """
     if n_probe < 1:
         raise OutOfRange(f"n_probe must be positive, got {n_probe}")
@@ -202,18 +182,6 @@ def expected_t_ratio(
     for ratio in ratios.tolist():
         total += ratio
     return total / n_probe
-
-
-def analytic_t_ratio(config: PopulationConfig) -> float:
-    """Population-level t-ratio: mean difference over its population
-    standard error, relative to the critical t."""
-    sigma_dm = config.sigma_dm
-    if sigma_dm == 0.0:
-        return math.copysign(math.inf, config.mu_dm) if config.mu_dm else 0.0
-    t_crit = float(
-        special.stdtrit(config.m + config.n - 1, 1.0 - config.alpha_dm)
-    )
-    return config.mu_dm / sigma_dm / abs(t_crit)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +506,7 @@ def _trial_candidates(config, region, requested, k_draws, data_path,
         draws = sample_posterior(study, k_draws, child_seed(*post_path))
     elif SEED in needs:
         draws = child_seed(*post_path)
-    suite = candidate_suite(None, study, region, draws, requested)
+    suite = candidate_suite(study, region, draws, requested)
     return {
         name: value
         for name in requested
@@ -634,6 +602,8 @@ def run_comparison_study(
     if n_samples < 1:
         raise OutOfRange(f"n_samples must be positive, got {n_samples}")
     candidates = tuple(candidates)
+    if candidates.count(ORACLE) > 1:
+        raise OutOfRange(f"candidate statistic {ORACLE!r} is requested twice")
     candidate_needs([c for c in candidates if c != ORACLE], batch.scale)
     measures = batch.scored
 

@@ -42,15 +42,13 @@ from .model import (
     NullRegion,
     OutOfRange,
     PosteriorDraws,
-    RawSamples,
     Scale,
     StudyRecord,
     ZeroPooledVariance,
     ZeroVarianceWarning,
     _require_tail_mass,
-    summarize,
 )
-from .posterior import _groups, credible_bounds_sorted, require_relative
+from .posterior import credible_bounds_sorted, require_relative
 from .rng import substream
 
 __all__ = [
@@ -58,7 +56,6 @@ __all__ = [
     "relative_mean_difference",
     "standard_error_dm",
     "least_difference",
-    "least_difference_scan",
     "most_difference",
     "welch_p",
     "tost_p",
@@ -262,21 +259,6 @@ def least_difference(bounds: CredibleBounds, sign_ref: float) -> float:
     return _signed(min(abs(bounds.lo), abs(bounds.hi)), sign_ref)
 
 
-def least_difference_scan(
-    bounds: CredibleBounds, grid: int = 10000, sign_ref: float = 1.0
-) -> float:
-    """Grid-scan variant of the least difference, for cross-checking.
-
-    Evaluates |z| on an evenly spaced grid across the interval and returns
-    the signed minimum. Agrees with ``least_difference`` to within one
-    grid spacing.
-    """
-    if grid < 1000:
-        raise OutOfRange(f"grid must be at least 1000 points, got {grid}")
-    zs = np.linspace(bounds.lo, bounds.hi, int(grid))
-    return _signed(float(np.min(np.abs(zs))), sign_ref)
-
-
 def _most_difference_sorted(sorted_arr: np.ndarray, alpha: float) -> float:
     """Smallest magnitude c >= 0 with at least 1 - alpha of the draws in
     (-c, c], selected directly from the sorted draws.
@@ -370,7 +352,7 @@ class _SuiteInputs:
     def r_xbar_dm(self) -> float | None:
         if self.control.mean == 0.0:
             return None
-        return self.xbar_dm / self.control.mean
+        return relative_mean_difference(self.control, self.experiment)
 
     @cached_property
     def sorted_rel(self) -> np.ndarray | None:
@@ -485,11 +467,21 @@ _REGISTRY = {
 
 def candidate_needs(names, region_scale: Scale) -> frozenset:
     """What computing the named candidates reads: a subset of SUMMARY, RAW,
-    RELATIVE and SEED. Reading draws implies reading the summaries."""
+    RELATIVE and SEED. Reading draws implies reading the summaries.
+
+    Raises OutOfRange for an unknown name and for a name given twice,
+    which would otherwise be scored, and counted in a correction, twice.
+    """
     needs = set()
+    seen = set()
     for name in names:
         if name not in _REGISTRY:
             raise OutOfRange(f"unknown candidate statistic {name!r}")
+        if name in seen:
+            raise OutOfRange(
+                f"candidate statistic {name!r} is requested twice"
+            )
+        seen.add(name)
         need = _REGISTRY[name][0]
         if need == _REGION:
             need = RAW if Scale(region_scale) is Scale.RAW else RELATIVE
@@ -499,24 +491,7 @@ def candidate_needs(names, region_scale: Scale) -> frozenset:
     return frozenset(needs)
 
 
-def _check_samples(samples: RawSamples, study: StudyRecord) -> None:
-    sum_x, sum_y = summarize(samples)
-    for got, want, label in (
-        (sum_x, study.control, "control"),
-        (sum_y, study.experiment, "experiment"),
-    ):
-        if (
-            got.size != want.size
-            or abs(got.mean - want.mean) > 1e-8 * max(1.0, abs(want.mean))
-            or abs(got.sd - want.sd) > 1e-8 * max(1.0, want.sd)
-        ):
-            raise OutOfRange(
-                f"{label} samples disagree with the study summaries"
-            )
-
-
 def candidate_suite(
-    samples: RawSamples | None,
     study: StudyRecord | None,
     null_region: NullRegion,
     draws: PosteriorDraws | int | None,
@@ -530,11 +505,7 @@ def candidate_suite(
     statistic reads draws it may instead be the posterior's seed (all
     the uniform-noise candidate ``rnd`` reads), or None when none reads
     the seed either. Likewise ``study`` may be None when only ``rnd`` is
-    requested.
-
-    When raw ``samples`` are given, their summaries must match the study's
-    summaries (they are the same data in two forms); passing None skips
-    that consistency check. The null region fixes the scale on which the
+    requested. The null region fixes the scale on which the
     region-dependent statistics (posterior odds, equivalence test,
     second-generation p) are evaluated.
 
@@ -543,14 +514,12 @@ def candidate_suite(
     (study, null_region, draws).
     """
     needs = candidate_needs(names, null_region.scale)
-    if study is None and (SUMMARY in needs or samples is not None):
+    if study is None and SUMMARY in needs:
         raise OutOfRange("the requested candidates need the study summaries")
     if needs & {RAW, RELATIVE} and not isinstance(draws, PosteriorDraws):
         raise OutOfRange("the requested candidates need posterior draws")
     if SEED in needs and draws is None:
         raise OutOfRange("the requested candidates need the posterior seed")
-    if samples is not None:
-        _check_samples(samples, study)
     inputs = _SuiteInputs(study, null_region, draws)
     wanted = frozenset(names)
     # computed in CANDIDATES order, so which error a bad input raises
@@ -562,26 +531,16 @@ def candidate_suite(
 
 
 def effect_strength(
-    study, draws: PosteriorDraws, tail_mass: float | None = None
+    study: StudyRecord, draws: PosteriorDraws
 ) -> EffectStrengthResult:
-    """Least and most plausible differences on both scales for one study.
+    """Least and most plausible differences on both scales for one study,
+    at the study's own tail mass alpha_dm.
 
-    ``tail_mass`` defaults to the study's own alpha_dm. Relative results
-    are present only when the posterior carried usable relative draws.
-    Like ``credible_bounds``, it raises InsufficientDraws with fewer
-    than ceil(2 / tail_mass) draws.
+    Relative results are present only when the posterior carried usable
+    relative draws. Like ``credible_bounds``, it raises InsufficientDraws
+    with fewer than ceil(2 / alpha_dm) draws.
     """
-    control, experiment = _groups(study)
-    if tail_mass is None:
-        if not isinstance(study, StudyRecord):
-            raise OutOfRange(
-                "tail_mass is required when study is not a StudyRecord"
-            )
-        tail_mass = study.alpha_dm
-    _require_tail_mass("tail_mass", tail_mass)
-    inputs = _SuiteInputs(
-        StudyRecord(control, experiment, tail_mass), None, draws
-    )
+    inputs = _SuiteInputs(study, None, draws)
     return EffectStrengthResult(
         delta_l=_delta_l(inputs),
         delta_m=_delta_m(inputs),

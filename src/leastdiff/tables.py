@@ -13,7 +13,6 @@ for human eyes; the JSON renderings carry full precision.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import re
@@ -40,7 +39,6 @@ __all__ = [
     "format_full_row",
     "write_csv",
     "write_json",
-    "render_csv_text",
 ]
 
 STUDY_COLUMNS = (
@@ -282,9 +280,3 @@ def write_json(payload, target) -> None:
         return
     with open(target, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
-
-
-def render_csv_text(columns, rows) -> str:
-    buffer = io.StringIO()
-    write_csv(columns, rows, buffer)
-    return buffer.getvalue()

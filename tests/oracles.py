@@ -12,7 +12,9 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special, stats
+
+from leastdiff.model import EmptyDraws, OutOfRange, ZeroVarianceWarning
 
 
 # --- empirical quantiles ----------------------------------------------------
@@ -34,6 +36,75 @@ def quantile_linear(values, q: float) -> float:
         return data[-1]
     frac = pos - idx
     return data[idx] * (1.0 - frac) + data[idx + 1] * frac
+
+
+def ecdf(draws, z: float) -> float:
+    """Empirical CDF of the draws at z: fraction of draws <= z."""
+    arr = np.asarray(draws, dtype=float)
+    if arr.size == 0:
+        raise EmptyDraws("ecdf needs at least one draw")
+    return float(np.count_nonzero(arr <= z)) / arr.size
+
+
+# --- least difference by grid scan -------------------------------------------
+
+
+def least_difference_scan(bounds, grid: int = 10000,
+                          sign_ref: float = 1.0) -> float:
+    """Least difference by scanning |z| on an evenly spaced grid across
+    the credible interval, so it agrees with the closed form to within
+    one grid spacing.
+
+    The signed result takes the sign of ``sign_ref``, and a zero
+    reference gives zero.
+    """
+    if grid < 1000:
+        raise OutOfRange(f"grid must be at least 1000 points, got {grid}")
+    zs = np.linspace(bounds.lo, bounds.hi, int(grid))
+    magnitude = float(np.min(np.abs(zs)))
+    if sign_ref > 0.0:
+        return magnitude
+    if sign_ref < 0.0:
+        return -magnitude
+    return 0.0
+
+
+# --- t-ratios of samples and populations ------------------------------------
+
+
+def t_ratio(samples, alpha_dm: float) -> float:
+    """Sample t-statistic over the critical t at the study's tail mass.
+
+    The statistic is the mean difference over its unpooled standard
+    error; the critical value uses m + n - 1 degrees of freedom.
+    Degenerate samples (both variances zero) return a signed infinity,
+    or 0 for identical means, with a warning.
+    """
+    x, y = samples.x, samples.y
+    m, n = x.size, y.size
+    diff = float(y.mean() - x.mean())
+    se2 = float(x.var(ddof=1)) / m + float(y.var(ddof=1)) / n
+    t_crit = float(special.stdtrit(m + n - 1, 1.0 - alpha_dm))
+    if se2 == 0.0:
+        warnings.warn(
+            "both samples have zero variance; t-ratio set by convention",
+            ZeroVarianceWarning,
+            stacklevel=2,
+        )
+        return math.copysign(math.inf, diff) if diff != 0.0 else 0.0
+    return diff / math.sqrt(se2) / abs(t_crit)
+
+
+def analytic_t_ratio(config) -> float:
+    """Population-level t-ratio: mean difference over its population
+    standard error, relative to the critical t."""
+    sigma_dm = config.sigma_dm
+    if sigma_dm == 0.0:
+        return math.copysign(math.inf, config.mu_dm) if config.mu_dm else 0.0
+    t_crit = float(
+        special.stdtrit(config.m + config.n - 1, 1.0 - config.alpha_dm)
+    )
+    return config.mu_dm / sigma_dm / abs(t_crit)
 
 
 # --- Student-t tail by quadrature -------------------------------------------

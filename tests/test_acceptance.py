@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import math
+import os
 import time
 
 import numpy as np
@@ -41,6 +42,10 @@ CHOLESTEROL_DROP_PCT = (
 PLAQUE_DROP_PCT = (
     -51, -52, -28, -55, -24, -47, -69, -48, -73, -91, -66, -82, -73, -91,
 )
+
+# the simulation gates run on every core; gate 10 shows that reports do
+# not depend on the worker count
+WORKERS = os.cpu_count() or 1
 
 
 @contextlib.contextmanager
@@ -151,7 +156,7 @@ def test_criterion_04_shortcut_vs_scan(capsys, rng):
             else:
                 sign_ref = 1.0 if i % 2 else -1.0
             direct = ld.least_difference(bounds, sign_ref)
-            scanned = ld.least_difference_scan(bounds, grid, sign_ref)
+            scanned = oracles.least_difference_scan(bounds, grid, sign_ref)
             spacing = (hi - lo) / (grid - 1)
             assert abs(direct - scanned) <= spacing, (lo, hi, sign_ref)
 
@@ -237,7 +242,7 @@ def test_criterion_06_single_measure_risk(capsys):
             )
             report = ld.run_comparison_study(
                 batch, n_samples=50, k_draws=2000,
-                candidates=(cand,), seed=DEFAULT_SEED,
+                candidates=(cand,), seed=DEFAULT_SEED, workers=WORKERS,
             )
             row = report.row(cand, measure)
             if not (row.mean_error < 0.5 and row.p_value < BONFERRONI_P):
@@ -265,7 +270,7 @@ def test_criterion_07_simultaneous_risk(capsys):
                 )
                 report = ld.run_comparison_study(
                     batch, n_samples=50, k_draws=2000,
-                    candidates=(cand,), seed=DEFAULT_SEED,
+                    candidates=(cand,), seed=DEFAULT_SEED, workers=WORKERS,
                 )
                 for measure in measures:
                     row = report.row(cand, measure)
@@ -298,7 +303,7 @@ def test_criterion_08_ladder_correlations(capsys):
             all_series.append(series)
             report = ld.spearman_study(
                 series, n_samples=200, k_draws=2000,
-                seed=DEFAULT_SEED, candidates=(cand,),
+                seed=DEFAULT_SEED, candidates=(cand,), workers=WORKERS,
             )
             row = report.row(cand, measure)
             if not row.significant:
@@ -313,7 +318,7 @@ def test_criterion_08_ladder_correlations(capsys):
             for series in all_series:
                 report = ld.spearman_study(
                     series, n_samples=200, k_draws=2000,
-                    seed=seed, candidates=("rnd",),
+                    seed=seed, candidates=("rnd",), workers=WORKERS,
                 )
                 if report.row("rnd", series.measure).significant:
                     quiet = False

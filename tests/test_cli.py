@@ -247,6 +247,21 @@ class TestRiskCommand:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("names, repeated", [
+        ("delta_l,delta_l,rnd", "delta_l"),
+        ("oracle,rnd,oracle", "oracle"),
+    ])
+    def test_repeated_candidate_is_an_input_error(self, capsys, names,
+                                                  repeated):
+        # a repeated row was printed twice and counted twice in the
+        # Bonferroni divisor
+        code, out = run_cli(["risk", "--pairs", "50", "--samples", "2",
+                             "--independent", "mu_dm",
+                             "--candidates", names])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: candidate statistic {repeated!r} is requested twice\n")
+
     def test_measure_must_belong_to_scale(self, capsys):
         code, _ = run_cli(["risk", "--scale", "raw",
                            "--independent", "r_mu_dm"])

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level private name goes unused.
+no module-level private name goes unused, no public function is there
+only for the tests, and the package docstring's example runs.
 
 No linter ships with the toolchain, so this parses each module with
 ``ast``. A package ``__init__.py`` is exempt from the import check, since
@@ -7,6 +8,10 @@ its imports are re-exports, and so is a name listed in the module's
 ``__all__``.
 """
 import ast
+import contextlib
+import io
+import math
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +22,24 @@ import leastdiff
 PACKAGE = Path(leastdiff.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+REPO = Path(__file__).resolve().parent.parent
+# the package's re-exports in __init__.py call nothing
+CALLERS = MODULES + sorted(REPO.glob("demos/*.py")) + sorted(
+    REPO.glob("bench/*.py"))
+
+# Public functions that no package module, demo or bench script calls,
+# kept because a library user reads the package through them.
+DELIBERATE_API = {
+    "credible_bounds": "the interval of any draws; the package itself "
+                       "reads already sorted draws",
+    "most_difference": "the most plausible difference of any draws; the "
+                       "suite reads already sorted draws",
+    "decide_stronger": "one candidate's verdict on two suites, the "
+                       "comparison the risk study makes in bulk",
+    "is_practically_significant": "the yes/no form of designate",
+    "write_studies_csv": "writes the study table that read_studies_csv "
+                         "and analyze read",
+}
 
 
 def _imported_names(tree):
@@ -30,15 +53,20 @@ def _imported_names(tree):
                 yield bound, node.lineno
 
 
-def _used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _exported(tree):
+    """The names a module's ``__all__`` lists."""
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Assign)
             and any(isinstance(t, ast.Name) and t.id == "__all__"
                     for t in node.targets)
         ):
-            used.update(ast.literal_eval(node.value))
+            yield from ast.literal_eval(node.value)
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_exported(tree))
     return used
 
 
@@ -106,3 +134,55 @@ def test_every_private_name_is_referenced():
         if refs[name] == sum(ref == name for ref in _references(node))
     ]
     assert not unused, f"private names nothing references: {unused}"
+
+
+def _public_functions(tree):
+    """Top-level function definitions whose name the module's ``__all__``
+    lists."""
+    exported = set(_exported(tree))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            yield node
+
+
+def test_every_public_function_has_a_caller():
+    # names are matched without their module, as for private names; a
+    # function's own body does not count as a caller, and importing a
+    # function counts, since a package module must use what it imports
+    refs = Counter()
+    public = {}
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refs.update(_references(tree))
+        if path in MODULES:
+            public.update(
+                (node.name, (path, node)) for node in _public_functions(tree)
+            )
+    called = {
+        name for name, (_, node) in public.items()
+        if refs[name] > sum(ref == name for ref in _references(node))
+    }
+    uncalled = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+        for name, (path, node) in public.items()
+        if name not in called and name not in DELIBERATE_API
+    ]
+    assert not uncalled, (
+        "public functions only the tests call; move them to the tests or "
+        f"list them in DELIBERATE_API: {uncalled}"
+    )
+    # an entry outlives its reason once the function is gone or called
+    stale = [name for name in DELIBERATE_API
+             if name not in public or name in called]
+    assert not stale, f"DELIBERATE_API entries to drop: {stale}"
+
+
+def test_package_docstring_example_runs():
+    doc = leastdiff.__doc__
+    block = doc[doc.index("::\n") + 3:]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(textwrap.dedent(block), {})
+    value, designation = out.getvalue().split()
+    assert math.isfinite(float(value))
+    assert designation in {str(d) for d in leastdiff.Designation}

@@ -48,13 +48,13 @@ class TestGroupSummary:
 
 class TestSummarize:
     def test_two_point_sample(self):
-        g = summarize([0.0, 2.0])
+        g, _ = summarize(RawSamples([0.0, 2.0], [1.0, 2.0]))
         assert g.mean == 1.0
         assert g.sd == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert g.size == 2
 
     def test_three_point_sample(self):
-        g = summarize([1.0, 2.0, 3.0])
+        _, g = summarize(RawSamples([0.0, 2.0], [1.0, 2.0, 3.0]))
         assert (g.mean, g.sd, g.size) == (2.0, 1.0, 3)
 
     def test_pair_input_summarizes_both_groups(self):
@@ -64,7 +64,7 @@ class TestSummarize:
 
     def test_short_sequence_rejected(self):
         with pytest.raises(SequenceTooShort):
-            summarize([4.0])
+            summarize(RawSamples([4.0], [1.0, 2.0]))
 
 
 class TestRawSamples:

@@ -142,7 +142,7 @@ def test_bf_count_equals_direct_count(pairs, neg, pos, scale):
     region = NullRegion(neg, pos, scale)
     want = _bf_reference(diff if scale is Scale.RAW else rel_diff, region)
     assert same(bayes_factor(draws, region), want)
-    suite = candidate_suite(None, _BF_STUDY, region, draws, ("bf",))
+    suite = candidate_suite(_BF_STUDY, region, draws, ("bf",))
     assert same(suite.bf, want)
 
 
@@ -152,7 +152,7 @@ def test_bf_on_withheld_relative_draws():
                            diff=diff, rel_diff=None, k=diff.size, seed=0)
     with pytest.raises(NonpositiveControl):
         bayes_factor(draws, REL_REGION)
-    suite = candidate_suite(None, _BF_STUDY, REL_REGION, draws, ("bf",))
+    suite = candidate_suite(_BF_STUDY, REL_REGION, draws, ("bf",))
     assert suite.bf is None
     assert same(bayes_factor(draws, NullRegion(-1.0, 1.0, Scale.RAW)),
                 _bf_reference(diff, NullRegion(-1.0, 1.0, Scale.RAW)))
@@ -162,10 +162,10 @@ def test_bf_on_withheld_relative_draws():
 
 
 def _assert_each_alone_matches(study, region, draws):
-    full = candidate_suite(None, study, region, draws)
-    assert full == candidate_suite(None, study, region, draws, CANDIDATES)
+    full = candidate_suite(study, region, draws)
+    assert full == candidate_suite(study, region, draws, CANDIDATES)
     for name in CANDIDATES:
-        alone = candidate_suite(None, study, region, draws, (name,))
+        alone = candidate_suite(study, region, draws, (name,))
         assert same(alone.value(name), full.value(name)), name
         others = [n for n in CANDIDATES if n != name]
         assert all(alone.value(n) is None for n in others), name
@@ -210,13 +210,13 @@ def test_control_mean_of_zero_with_relative_draws():
     # a relative region cannot be mapped onto the data without a control
     # mean: the full suite raises, and so does p_e alone; the rest do not
     with pytest.raises(OutOfRange):
-        candidate_suite(None, study, REL_REGION, draws)
+        candidate_suite(study, REL_REGION, draws)
     with pytest.raises(OutOfRange):
-        candidate_suite(None, study, REL_REGION, draws, ("p_e",))
+        candidate_suite(study, REL_REGION, draws, ("p_e",))
     for name in CANDIDATES:
         if name == "p_e":
             continue
-        alone = candidate_suite(None, study, REL_REGION, draws, (name,))
+        alone = candidate_suite(study, REL_REGION, draws, (name,))
         if name in ("bf", "p_sg"):
             assert alone.value(name) is None
         else:
@@ -230,14 +230,14 @@ def test_unrequested_cohen_d_no_longer_raises():
     with pytest.warns(ld.DegenerateScaleWarning):
         draws = sample_posterior(study, k=2000, seed=0)
     with pytest.raises(ZeroPooledVariance):
-        candidate_suite(None, study, RAW_REGION, draws)
-    alone = candidate_suite(None, study, RAW_REGION, draws, ("delta_l",))
+        candidate_suite(study, RAW_REGION, draws)
+    alone = candidate_suite(study, RAW_REGION, draws, ("delta_l",))
     assert alone.delta_l == 2.0
 
 
 def test_strict_decision_needs_the_mean_difference(toy_study):
     draws = sample_posterior(toy_study, k=2000, seed=1)
-    partial = candidate_suite(None, toy_study, RAW_REGION, draws, ("delta_l",))
+    partial = candidate_suite(toy_study, RAW_REGION, draws, ("delta_l",))
     with pytest.raises(OutOfRange, match="xbar_dm"):
         ld.decide_stronger(partial, partial, "delta_l")
     assert not ld.decide_stronger(partial, partial, "delta_l", strict=False)
@@ -256,22 +256,35 @@ def test_needs_of_each_candidate():
         candidate_needs(("mystery",), Scale.RAW)
 
 
+def test_repeated_candidate_is_refused(toy_study):
+    # a repeated name was scored twice and given a row of its own twice
+    with pytest.raises(OutOfRange, match="'delta_l' is requested twice"):
+        candidate_needs(("delta_l", "rnd", "delta_l"), Scale.RAW)
+    draws = sample_posterior(toy_study, k=1000, seed=0)
+    with pytest.raises(OutOfRange, match="'p_n' is requested twice"):
+        candidate_suite(toy_study, RAW_REGION, draws, ("p_n", "p_n"))
+    series = riskbench.generate_series(ld.Measure.MU_DM, 5)
+    with pytest.raises(OutOfRange, match="'rnd' is requested twice"):
+        riskbench.spearman_study(series, n_samples=2,
+                                 candidates=("rnd", "xbar_dm", "rnd"))
+
+
 def test_rnd_needs_only_the_seed(toy_study):
     draws = sample_posterior(toy_study, k=2000, seed=7)
-    full = candidate_suite(None, toy_study, RAW_REGION, draws)
-    alone = candidate_suite(None, None, RAW_REGION, draws.seed, ("rnd",))
+    full = candidate_suite(toy_study, RAW_REGION, draws)
+    alone = candidate_suite(None, RAW_REGION, draws.seed, ("rnd",))
     assert same(alone.rnd, full.rnd)
-    summary = candidate_suite(None, toy_study, RAW_REGION, None, ("p_n",))
+    summary = candidate_suite(toy_study, RAW_REGION, None, ("p_n",))
     assert same(summary.p_n, full.p_n)
 
 
 def test_missing_inputs_are_named(toy_study):
     with pytest.raises(OutOfRange, match="posterior draws"):
-        candidate_suite(None, toy_study, RAW_REGION, 3, ("delta_l",))
+        candidate_suite(toy_study, RAW_REGION, 3, ("delta_l",))
     with pytest.raises(OutOfRange, match="summaries"):
-        candidate_suite(None, None, RAW_REGION, 3, ("xbar_dm",))
+        candidate_suite(None, RAW_REGION, 3, ("xbar_dm",))
     with pytest.raises(OutOfRange, match="seed"):
-        candidate_suite(None, toy_study, RAW_REGION, None, ("rnd",))
+        candidate_suite(toy_study, RAW_REGION, None, ("rnd",))
 
 
 # --- a trial computes only what its candidates read --------------------------

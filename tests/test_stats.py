@@ -1,10 +1,14 @@
 """Effect-strength statistics and the rival candidate suite."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.stats as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leastdiff as ld
 from leastdiff import (
@@ -28,7 +32,6 @@ from leastdiff import (
     effect_strength,
     equivalence_margins,
     least_difference,
-    least_difference_scan,
     mean_difference,
     most_difference,
     relative_mean_difference,
@@ -38,6 +41,7 @@ from leastdiff import (
     tost_p,
     welch_p,
 )
+from leastdiff.tables import StudyTableRow
 
 import oracles
 
@@ -77,15 +81,16 @@ class TestLeastDifference:
 
 class TestLeastDifferenceScan:
     def test_grid_endpoint(self):
-        assert least_difference_scan(bounds(2.0, 10.0), sign_ref=1.0) == 2.0
+        got = oracles.least_difference_scan(bounds(2.0, 10.0), sign_ref=1.0)
+        assert got == 2.0
 
     def test_zero_crossing(self):
-        got = least_difference_scan(bounds(-3.0, 4.0), sign_ref=1.0)
+        got = oracles.least_difference_scan(bounds(-3.0, 4.0), sign_ref=1.0)
         assert abs(got) <= 7.0 / 9999
 
     def test_grid_floor(self):
         with pytest.raises(OutOfRange):
-            least_difference_scan(bounds(2.0, 10.0), grid=999)
+            oracles.least_difference_scan(bounds(2.0, 10.0), grid=999)
 
     def test_agrees_with_shortcut(self, rng):
         for _ in range(100):
@@ -95,7 +100,7 @@ class TestLeastDifferenceScan:
             b = bounds(lo, hi)
             spacing = (hi - lo) / 9999 if hi > lo else 0.0
             direct = least_difference(b, sign)
-            scanned = least_difference_scan(b, sign_ref=sign)
+            scanned = oracles.least_difference_scan(b, sign_ref=sign)
             assert abs(direct - scanned) <= spacing + 1e-12
 
 
@@ -181,7 +186,7 @@ class TestWelchP:
                 float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 2)), 12, rng)
             y = oracles.exact_moment_samples(
                 float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 2)), 9, rng)
-            summary_p = welch_p(ld.summarize(x), ld.summarize(y))
+            summary_p = welch_p(*ld.summarize(ld.RawSamples(x, y)))
             scipy_p = sps.ttest_ind(y, x, equal_var=False).pvalue
             assert summary_p == pytest.approx(scipy_p, rel=1e-9)
 
@@ -358,16 +363,9 @@ class TestEffectStrength:
     def test_tail_defaults_to_study_alpha(self, toy_study):
         draws = sample_posterior(toy_study, k=5000, seed=1)
         a = effect_strength(toy_study, draws)
-        b = effect_strength(toy_study, draws, tail_mass=toy_study.alpha_dm)
-        assert a.delta_l == b.delta_l
-        assert a.bounds_raw.tail_mass == toy_study.alpha_dm
-
-    def test_bare_pair_requires_tail(self, toy_study):
-        pair = (toy_study.control, toy_study.experiment)
-        draws = sample_posterior(pair, k=5000, seed=1)
-        with pytest.raises(OutOfRange):
-            effect_strength(pair, draws)
-        assert effect_strength(pair, draws, 0.05).delta_l != 0.0
+        direct = credible_bounds(draws.diff, toy_study.alpha_dm)
+        assert a.bounds_raw == direct
+        assert a.delta_l == least_difference(direct, a.sign_ref_raw)
 
     def test_zero_iff_bounds_bracket_zero(self, toy_study):
         for seed in range(20):
@@ -395,7 +393,9 @@ class TestEffectStrength:
     def test_explicit_tail_matches_public_functions(self, toy_study, tail):
         assert tail != toy_study.alpha_dm
         draws = sample_posterior(toy_study, k=5000, seed=6)
-        result = effect_strength(toy_study, draws, tail_mass=tail)
+        result = effect_strength(
+            dataclasses.replace(toy_study, alpha_dm=tail), draws
+        )
         sign = mean_difference(toy_study.control, toy_study.experiment)
         rel_sign = sign / toy_study.control.mean
         for values, scale, ref, got in (
@@ -415,10 +415,12 @@ class TestEffectStrength:
     def test_too_few_draws_for_the_tail_raise(self, toy_study):
         # 1,000 draws resolve a tail mass down to 0.002, as credible_bounds
         draws = sample_posterior(toy_study, k=1000, seed=2)
-        effect_strength(toy_study, draws, tail_mass=0.002)
+        effect_strength(dataclasses.replace(toy_study, alpha_dm=0.002), draws)
         with pytest.raises(InsufficientDraws,
                            match="need at least 2000 draws"):
-            effect_strength(toy_study, draws, tail_mass=0.001)
+            effect_strength(
+                dataclasses.replace(toy_study, alpha_dm=0.001), draws
+            )
         with pytest.raises(InsufficientDraws):
             credible_bounds(draws.diff, 0.001)
 
@@ -427,7 +429,9 @@ class TestEffectStrength:
                             GroupSummary(2.0, 1.0, 4), 0.05)
         with pytest.warns(ld.NonpositiveControlWarning):
             draws = sample_posterior(study, k=5000, seed=0)
-        result = effect_strength(study, draws, tail_mass=0.1)
+        result = effect_strength(
+            dataclasses.replace(study, alpha_dm=0.1), draws
+        )
         assert result.bounds_raw == credible_bounds(draws.diff, 0.1)
         assert (result.r_delta_l, result.r_delta_m, result.bounds_rel,
                 result.sign_ref_rel) == (None, None, None, None)
@@ -437,7 +441,7 @@ class TestCandidateSuite:
     @pytest.fixture
     def suite_parts(self, toy_study):
         draws = sample_posterior(toy_study, k=4000, seed=9)
-        stats = candidate_suite(None, toy_study, RAW_REGION, draws)
+        stats = candidate_suite(toy_study, RAW_REGION, draws)
         return toy_study, draws, stats
 
     def test_component_consistency(self, suite_parts):
@@ -458,36 +462,22 @@ class TestCandidateSuite:
 
     def test_rnd_is_reproducible(self, suite_parts):
         study, draws, stats = suite_parts
-        again = candidate_suite(None, study, RAW_REGION, draws)
+        again = candidate_suite(study, RAW_REGION, draws)
         assert again.rnd == stats.rnd
-
-    def test_matching_samples_accepted(self, toy_study, rng):
-        x = oracles.exact_moment_samples(100.0, 12.0, 8, rng)
-        y = oracles.exact_moment_samples(70.0, 9.0, 6, rng)
-        draws = sample_posterior(toy_study, k=2000, seed=0)
-        stats = candidate_suite(ld.RawSamples(x, y), toy_study, RAW_REGION, draws)
-        assert stats.xbar_dm == -30.0
-
-    def test_mismatched_samples_rejected(self, toy_study, rng):
-        x = oracles.exact_moment_samples(90.0, 12.0, 8, rng)
-        y = oracles.exact_moment_samples(70.0, 9.0, 6, rng)
-        draws = sample_posterior(toy_study, k=2000, seed=0)
-        with pytest.raises(OutOfRange):
-            candidate_suite(ld.RawSamples(x, y), toy_study, RAW_REGION, draws)
 
     def test_identical_groups_zero_out(self):
         g = GroupSummary(10.0, 2.0, 8)
         study = StudyRecord(g, GroupSummary(10.0, 2.0, 8), 0.05)
         draws = sample_posterior(study, k=2000, seed=0)
-        stats = candidate_suite(None, study, RAW_REGION, draws)
+        stats = candidate_suite(study, RAW_REGION, draws)
         assert stats.xbar_dm == 0.0
         assert stats.cohen_d == 0.0
         assert stats.delta_l == 0.0
 
     def test_threshold_invariance_of_delta_l(self, toy_study):
         draws = sample_posterior(toy_study, k=4000, seed=9)
-        wide = candidate_suite(None, toy_study, region(-50.0, 50.0), draws)
-        narrow = candidate_suite(None, toy_study, region(-1.0, 1.0), draws)
+        wide = candidate_suite(toy_study, region(-50.0, 50.0), draws)
+        narrow = candidate_suite(toy_study, region(-1.0, 1.0), draws)
         assert wide.delta_l == narrow.delta_l
         assert wide.r_delta_l == narrow.r_delta_l
         assert wide.delta_m == narrow.delta_m
@@ -496,7 +486,7 @@ class TestCandidateSuite:
 
     def test_relative_region_route(self, toy_study):
         draws = sample_posterior(toy_study, k=4000, seed=9)
-        stats = candidate_suite(None, toy_study,
+        stats = candidate_suite(toy_study,
                                 region(-0.2, 0.2, Scale.RELATIVE), draws)
         # equivalence margins map onto the raw scale of the data
         assert stats.p_e == tost_p(toy_study.control, toy_study.experiment,
@@ -509,11 +499,11 @@ class TestCandidateSuite:
                             0.05)
         with pytest.warns(ld.NonpositiveControlWarning):
             draws = sample_posterior(study, k=2000, seed=0)
-        stats = candidate_suite(None, study, RAW_REGION, draws)
+        stats = candidate_suite(study, RAW_REGION, draws)
         assert stats.r_delta_l is None and stats.r_delta_m is None
         assert stats.r_xbar_dm is not None  # summary ratio needs no draws
         assert stats.bf is not None  # raw region still countable
-        rel_stats = candidate_suite(None, study,
+        rel_stats = candidate_suite(study,
                                     region(-0.2, 0.2, Scale.RELATIVE), draws)
         assert rel_stats.bf is None and rel_stats.p_sg is None
 
@@ -526,10 +516,9 @@ class TestCandidateSuite:
         )
         base_draws = sample_posterior(toy_study, k=4000, seed=11)
         scaled_draws = sample_posterior(scaled_study, k=4000, seed=11)
-        base = candidate_suite(None, toy_study, RAW_REGION, base_draws)
+        base = candidate_suite(toy_study, RAW_REGION, base_draws)
         scaled = candidate_suite(
-            None, scaled_study, region(-10.0 * scale, 10.0 * scale),
-            scaled_draws)
+            scaled_study, region(-10.0 * scale, 10.0 * scale), scaled_draws)
         for name in ("xbar_dm", "s_dm", "delta_l", "delta_m"):
             assert scaled.value(name) == pytest.approx(
                 scale * base.value(name), rel=1e-12)
@@ -605,3 +594,55 @@ class TestDecisionRules:
             a, b = r.random(2)
             wins += compare_candidate("rnd", a, b)
         assert wins / trials == pytest.approx(0.5, abs=0.02)
+
+
+# --- threshold invariance over arbitrary regions ----------------------------
+
+INVARIANCE_STUDIES = (
+    StudyRecord(GroupSummary(100.0, 12.0, 8), GroupSummary(70.0, 9.0, 6),
+                0.05),
+    # an interval that covers zero: no posterior significance
+    StudyRecord(GroupSummary(100.0, 12.0, 8), GroupSummary(98.0, 9.0, 6),
+                0.05),
+)
+HEADLINE = ("delta_l", "r_delta_l", "delta_m", "r_delta_m")
+EDGE = st.floats(min_value=1e-9, max_value=1e6)
+
+
+@functools.cache
+def _region_free(index, scale):
+    """A study's draws and effect strength, which read no null region, and
+    its analysis against one reference region on the scale."""
+    study = INVARIANCE_STUDIES[index]
+    draws = sample_posterior(study, k=4000, seed=9)
+    [analysis] = ld.analyze_studies(
+        [StudyTableRow("s", study)], scale, NullRegion(-0.2, 0.2, scale),
+        k_draws=4000, seed=9,
+    )
+    return study, draws, effect_strength(study, draws), analysis
+
+
+@settings(max_examples=150, deadline=None)
+@given(index=st.sampled_from(range(len(INVARIANCE_STUDIES))),
+       neg=EDGE, pos=EDGE, scale=st.sampled_from(Scale))
+def test_threshold_invariance_over_any_region(index, neg, pos, scale):
+    # thresholds are chosen after the fact, without recalculation: no
+    # region moves the least or most difference or the credible bounds,
+    # and each region's reading is designate of the region-free value
+    study, draws, strength, reference = _region_free(index, scale)
+    region = NullRegion(-neg, pos, scale)
+    suite = candidate_suite(study, region, draws)
+    [analysis] = ld.analyze_studies(
+        [StudyTableRow("s", study)], scale, region, k_draws=4000, seed=9
+    )
+    for name in HEADLINE:
+        # repr compares floats bit for bit, 0.0 against -0.0 included
+        assert repr(suite.value(name)) == repr(getattr(strength, name))
+        assert repr(analysis.stats.value(name)) == repr(
+            reference.stats.value(name))
+    assert analysis.bounds == reference.bounds
+    least = "delta_l" if scale is Scale.RAW else "r_delta_l"
+    assert ld.designate(suite.value(least), region) is ld.designate(
+        getattr(strength, least), region)
+    assert analysis.designation is ld.designate(
+        reference.stats.value(least), region)

@@ -30,7 +30,7 @@ from leastdiff.tables import (
     format_full,
     format_number,
     read_studies_csv,
-    render_csv_text,
+    write_csv,
     write_studies_csv,
 )
 
@@ -285,8 +285,9 @@ class TestFormatters:
         assert format_full("text") == "text"
 
     def test_render_csv_text(self):
-        text = render_csv_text(("a", "b"), [{"a": "x,y", "b": 0.5}])
-        assert text.splitlines() == ["a,b", '"x,y",0.5']
+        buffer = io.StringIO()
+        write_csv(("a", "b"), [{"a": "x,y", "b": 0.5}], buffer)
+        assert buffer.getvalue().splitlines() == ["a,b", '"x,y",0.5']
 
 
 class TestAnalyzeStudies:
